@@ -9,16 +9,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import harness
 from .consistency import ustat_concentration
 from .errors import CheegerLabError, ConfigError
 from .manifold import PointCloud, continuum_cheeger, get_manifold
 from .nonlocal_tv import check_bias_inequality, indicator_function
 from .proximity_graph import ProximityGraph, build_graph
-from .cut_solvers import (solve_arc_sweep, solve_exact, solve_pipeline,
-                          solve_spectral_sweep)
 
 
 def _parse_int_list(text):
@@ -48,8 +44,7 @@ def build_parser():
     s = sub.add_parser("solve", help="solve a balanced cut on a saved graph")
     s.add_argument("--graph", required=True)
     s.add_argument("--cloud", default=None)
-    s.add_argument("--method", default="pipeline",
-                   choices=["pipeline", "exact", "spectral", "arc"])
+    s.add_argument("--method", default="pipeline", choices=sorted(harness._SOLVERS))
 
     s = sub.add_parser("nonlocal-check", help="bias inequality on a reference set")
     s.add_argument("--manifold", required=True)
@@ -57,9 +52,7 @@ def build_parser():
 
     s = sub.add_parser("converge", help="convergence sweep")
     s.add_argument("--manifold", required=True)
-    s.add_argument("--objective", default="cheeger")
     s.add_argument("--n", required=True)
-    s.add_argument("--schedule", default="power-rule")
     s.add_argument("--epsilons", default=None)
     s.add_argument("--epsilon-c", type=float, default=2.0)
     s.add_argument("--trials", type=int, default=5)
@@ -115,12 +108,7 @@ def _dispatch(args):
     if cmd == "solve":
         cloud = PointCloud.load(args.cloud) if args.cloud else None
         g = ProximityGraph.load(args.graph, cloud=cloud)
-        solver = {"pipeline": solve_pipeline, "exact": solve_exact,
-                  "spectral": solve_spectral_sweep, "arc": solve_arc_sweep}[args.method]
-        if args.method in ("pipeline", "spectral"):
-            res = solver(g, seed=args.seed)
-        else:
-            res = solver(g)
+        res = harness.solve(g, args.method, args.seed)
         print(json.dumps({"objective_value": res.objective_value,
                           "subset_size": int(len(res.subset)),
                           "gtv": res.gtv, "balance": res.balance,
@@ -137,7 +125,7 @@ def _dispatch(args):
         raw = {"manifold": args.manifold, "n_list": _parse_int_list(args.n),
                "trials": args.trials, "seed": args.seed,
                "out": args.out or "converge_out", "solver": args.solver,
-               "objective": args.objective, "epsilon_c": args.epsilon_c}
+               "epsilon_c": args.epsilon_c}
         if args.epsilons:
             raw["epsilons"] = _parse_float_list(args.epsilons)
         cfg = harness.validate_config(raw)

@@ -148,7 +148,11 @@ def _symdiff_vs_param(fvals, reference: CheegerReference, grid, param):
 def match_minimizer(f: ContinuumFunction, reference: CheegerReference,
                     grid: QuadratureGrid):
     """(alpha, best family parameter) minimizing the symmetric difference."""
-    fvals = f(grid.nodes)
+    return _match_node_values(f(grid.nodes), reference, grid)
+
+
+def _match_node_values(fvals, reference: CheegerReference, grid: QuadratureGrid):
+    """``match_minimizer`` for a function given by its values on the grid nodes."""
     mf = reference.manifold
     if isinstance(mf, Circle):
         return _match_circle(fvals, reference, grid)
@@ -423,21 +427,12 @@ def cut_l1_error(cut, cloud: PointCloud, reference: CheegerReference,
     sur = transport_assign(cloud, grid)
     vals = sur.pullback(u)
     # match directly on the node values; the family covers complements
-    alpha, param = _match_values(vals, reference, grid)
+    alpha, param = _match_node_values(vals, reference, grid)
     ref = reference.minimizer(param)
     disc = float(np.mean(u != ref.indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
     return CutError(l1_error=float(alpha), matched_param=param,
                     discrete_error=disc, sup_displacement=sur.sup_displacement)
-
-
-def _match_values(vals, reference, grid):
-    mf = reference.manifold
-    if isinstance(mf, Circle):
-        return _match_circle(vals, reference, grid)
-    if isinstance(mf, FlatTorus2):
-        return _match_torus(vals, reference, grid)
-    return _match_sphere(vals, reference, grid)
 
 
 # ---------------------------------------------------------------------------

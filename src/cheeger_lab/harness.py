@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,6 @@ class ExperimentConfig:
     seed: int
     out: str
     solver: str = "pipeline"
-    objective: str = "cheeger"
     # schedule: explicit epsilons (aligned with n_list) or eps = c * n^{-k}
     epsilons: list = None
     epsilon_c: float = 2.0
@@ -85,7 +84,9 @@ def validate_config(source) -> ExperimentConfig:
             raw = json.load(fh)
     else:
         raw = dict(source)
-    errors = []
+    # epsilon_by_n is derived, but accepted so that resolved() output validates
+    known = {f.name for f in fields(ExperimentConfig)} | {"epsilon_by_n"}
+    errors = [f"unknown config key {k!r}" for k in sorted(set(raw) - known)]
     name = raw.get("manifold")
     mf = None
     if not name:
@@ -117,7 +118,6 @@ def validate_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(
         manifold=name, n_list=[int(n) for n in n_list], trials=trials,
         seed=int(raw["seed"]), out=str(raw["out"]), solver=solver,
-        objective=raw.get("objective", "cheeger"),
         epsilons=raw.get("epsilons"),
         epsilon_c=float(raw.get("epsilon_c", 2.0)),
         epsilon_k=raw.get("epsilon_k"),
@@ -150,28 +150,34 @@ def _record_path(out_dir, n, trial):
     return Path(out_dir) / f"record_n{n}_t{trial}.json"
 
 
+def solve(graph, method, seed):
+    """Run the registered solver ``method``; only the randomised ones take a seed."""
+    solver = _SOLVERS[method]
+    if method in ("pipeline", "spectral"):
+        return solver(graph, seed=seed)
+    return solver(graph)
+
+
 def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     mf = get_manifold(cfg.manifold)
     seed = trial_seed(cfg.seed, n, trial)
     eps = cfg.epsilon(n)
     cloud = mf.sample(n, seed=seed)
     graph = build_graph(cloud, eps)
-    solver = _SOLVERS[cfg.solver]
-    if cfg.solver in ("pipeline", "spectral"):
-        result = solver(graph, seed=seed)
-    else:
-        result = solver(graph)
+    result = solve(graph, cfg.solver, seed)
     ref = continuum_cheeger(mf)
     target = surface_tension(mf.m) * ref.constant
     grid = build_grid(mf, cfg.grid_resolution if mf.name == "circle"
                       else (96 if mf.name == "flat_torus_2" else 4000))
     a = cfg.bandwidth(n)
     err = cut_l1_error(result, cloud, ref, a=a, grid=grid)
-    # exact transport distance on the circle; elsewhere the covering radius
+    # exact transport distance on the circle; unmeasured elsewhere, where the
+    # covering radius sup_displacement is only a lower bound on it
     transport_delta = (circle_transport_delta(cloud)
                        if isinstance(mf, Circle) else None)
-    delta = err.sup_displacement if transport_delta is None else transport_delta
-    kappa = eps ** (1.0 / 6.0) + delta / eps  # density-fluctuation term unmeasured
+    # the density-fluctuation term of kappa is unmeasured
+    kappa = (None if transport_delta is None
+             else eps ** (1.0 / 6.0) + transport_delta / eps)
     rec = {
         "config_hash": config_hash(cfg), "n": int(n), "trial": int(trial),
         "epsilon": eps, "a": a, "trial_seed": int(seed),
@@ -181,7 +187,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
         "l1_cut_error": float(err.l1_error),
         "discrete_cut_error": float(err.discrete_error),
         "sup_displacement": float(err.sup_displacement),
-        "transport_delta": transport_delta, "kappa": float(kappa),
+        "transport_delta": transport_delta, "kappa": kappa,
         "theta_measured": False,
         "method": cfg.solver, "certificate": result.certificate,
         "elapsed_sec": float(result.elapsed),

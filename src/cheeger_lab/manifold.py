@@ -111,10 +111,6 @@ class Manifold:
     def ball_radius_for_volume(self, vol):
         raise NotImplementedError
 
-    def equal_volume_cell(self, points, cells=16):
-        """Index of an equal-volume partition cell for each point."""
-        raise NotImplementedError
-
     def __repr__(self):
         return f"<{type(self).__name__} m={self.m} d={self.d}>"
 
@@ -157,10 +153,6 @@ class Circle(Manifold):
         if not 0.0 < vol < 1.0:
             raise ValueError("ball volume must be in (0,1)")
         return vol / 2.0
-
-    def equal_volume_cell(self, points, cells=16):
-        t = self.to_intrinsic(points)
-        return np.minimum((t * cells).astype(int), cells - 1)
 
 
 class FlatTorus2(Manifold):
@@ -217,13 +209,6 @@ class FlatTorus2(Manifold):
             raise ValueError("requested ball volume too large for flat torus")
         return r
 
-    def equal_volume_cell(self, points, cells=16):
-        k = int(round(np.sqrt(cells)))
-        uv = self.to_intrinsic(points)
-        iu = np.minimum((uv[..., 0] * k).astype(int), k - 1)
-        iv = np.minimum((uv[..., 1] * k).astype(int), k - 1)
-        return iu * k + iv
-
 
 class Sphere2(Manifold):
     name = "sphere_2"
@@ -270,15 +255,6 @@ class Sphere2(Manifold):
         if not 0.0 < vol < 1.0:
             raise ValueError("ball volume must be in (0,1)")
         return self.radius * np.arccos(1.0 - 2.0 * vol)
-
-    def equal_volume_cell(self, points, cells=16):
-        # 4 equal-height z-bands x 4 azimuthal sectors
-        u = self.to_intrinsic(points)
-        z = np.clip(u[..., 2], -1.0, 1.0)
-        iz = np.minimum(((z + 1.0) / 2.0 * 4).astype(int), 3)
-        phi = _wrap(np.arctan2(u[..., 1], u[..., 0]) / TWO_PI)
-        ip = np.minimum((phi * 4).astype(int), 3)
-        return iz * 4 + ip
 
 
 _REGISTRY = {

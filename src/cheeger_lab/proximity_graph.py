@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateSubset
 
@@ -35,7 +36,6 @@ class ProximityGraph:
     edges: np.ndarray            # (E, 2) int array, i < j, lexicographically sorted
     cloud: object = None         # optional PointCloud provenance
     _adj: sp.csr_matrix = field(default=None, repr=False)
-    _neighbors: list = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -62,17 +62,7 @@ class ProximityGraph:
 
     @property
     def degrees(self):
-        return np.asarray(self.adjacency.sum(axis=1)).ravel().astype(int)
-
-    def neighbors(self, i):
-        """Sorted neighbor list of vertex i."""
-        if self._neighbors is None:
-            nb = [[] for _ in range(self.n)]
-            for a, b in self.edges:
-                nb[a].append(b)
-                nb[b].append(a)
-            self._neighbors = [sorted(x) for x in nb]
-        return self._neighbors[i]
+        return np.diff(self.adjacency.indptr)
 
     def save(self, path, cloud_ref=None):
         path = Path(path)
@@ -103,7 +93,7 @@ class ProximityGraph:
 
 
 def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
-    """Build the epsilon-graph with a uniform spatial cell grid of side eps."""
+    """Build the epsilon-graph with a k-d tree range search."""
     cloud = None
     if hasattr(points_or_cloud, "points") and hasattr(points_or_cloud, "manifold"):
         cloud = points_or_cloud
@@ -118,64 +108,21 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
             raise ValueError("m required when building from a raw point array")
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
-    edges = _edges_cell_grid(points, epsilon)
+    edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
                           edges=edges, cloud=cloud)
 
 
-def _edges_cell_grid(points, eps):
-    n, d = points.shape
+def _edges_kdtree(points, eps):
+    n = points.shape[0]
     if n < 2 or eps == 0.0:
-        return np.empty((0, 2), dtype=int)
-    cells = np.floor(points / eps).astype(np.int64)
-    # group point indices by cell key
-    buckets = {}
-    for idx, key in enumerate(map(tuple, cells)):
-        buckets.setdefault(key, []).append(idx)
-    buckets = {k: np.array(v) for k, v in buckets.items()}
-    offsets = _half_offsets(d)
-    eps2 = eps * eps
-    out = []
-    for key in sorted(buckets):
-        a = buckets[key]
-        pa = points[a]
-        # within-cell pairs
-        if len(a) > 1:
-            diff = pa[:, None, :] - pa[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            ii, jj = np.where(np.triu(d2 <= eps2, k=1))
-            if len(ii):
-                out.append(np.stack([a[ii], a[jj]], axis=1))
-        for off in offsets:
-            other = tuple(k + o for k, o in zip(key, off))
-            b = buckets.get(other)
-            if b is None:
-                continue
-            pb = points[b]
-            diff = pa[:, None, :] - pb[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            ii, jj = np.where(d2 <= eps2)
-            if len(ii):
-                out.append(np.stack([a[ii], b[jj]], axis=1))
-    if not out:
-        return np.empty((0, 2), dtype=int)
-    e = np.concatenate(out)
-    e.sort(axis=1)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    return e[order]
-
-
-def _half_offsets(d):
-    """Nonzero offsets in {-1,0,1}^d, one per +/- pair (lexicographically positive)."""
-    grids = np.stack(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    keep = []
-    for off in grids:
-        if not off.any():
-            continue
-        first = off[np.nonzero(off)[0][0]]
-        if first > 0:
-            keep.append(tuple(int(x) for x in off))
-    return keep
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
+    # pairs have i < j; one sort of the key i*n + j is the lexicographic order
+    key = pairs[:, 0] * n
+    key += pairs[:, 1]
+    key.sort()
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from cheeger_lab import cli
 from cheeger_lab.errors import ConfigError, MissingColumns
 from cheeger_lab.harness import (ExperimentConfig, emit_plot_data,
-                                 run_experiment, trial_seed, validate_config)
+                                 run_experiment, run_trial, trial_seed,
+                                 validate_config)
 
 
 def small_config(out, **overrides):
@@ -30,8 +31,10 @@ def test_validate_config_defaults():
 
 def test_validate_config_collects_errors():
     with pytest.raises(ConfigError) as exc:
-        validate_config({"manifold": "moebius", "trials": 0})
+        validate_config({"manifold": "moebius", "trials": 0,
+                         "objective": "cheeger"})
     msgs = " | ".join(exc.value.errors)
+    assert "unknown config key 'objective'" in msgs
     assert "n_list required" in msgs
     assert "trials" in msgs
     assert "unknown manifold" in msgs
@@ -49,6 +52,16 @@ def test_trial_seed_stable_and_distinct():
     assert trial_seed(1, 100, 0) == trial_seed(1, 100, 0)
     seeds = {trial_seed(1, n, t) for n in (100, 200) for t in range(5)}
     assert len(seeds) == 10
+
+
+def test_kappa_only_where_transport_delta_is_measured(tmp_path):
+    cfg = small_config(tmp_path / "c")
+    rec = run_trial(cfg, 100, 0)
+    assert rec["kappa"] == rec["epsilon"] ** (1 / 6) + rec["transport_delta"] / rec["epsilon"]
+    cfg = small_config(tmp_path / "t", manifold="flat_torus_2", n_list=[150],
+                       epsilons=[0.25])
+    rec = run_trial(cfg, 150, 0)
+    assert rec["transport_delta"] is None and rec["kappa"] is None
 
 
 def test_run_experiment_cardinality_and_rerun(tmp_path):
@@ -135,18 +148,23 @@ def test_failed_trials_are_isolated(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_cli_sample_build_solve_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("method,n,certificate", [
+    pytest.param("arc", 60, "FamilyOptimum", id="arc"),
+    pytest.param("exact", 20, "GlobalOptimum", id="exact"),  # enumeration stops at 24
+    pytest.param("pipeline", 60, "Heuristic", id="pipeline"),
+    pytest.param("spectral", 60, "Heuristic", id="spectral")])
+def test_cli_sample_build_solve_roundtrip(tmp_path, capsys, method, n, certificate):
     cloud = tmp_path / "cloud.csv"
     graph = tmp_path / "graph.csv"
     assert cli.main(["--seed", "4", "--out", str(cloud),
-                     "sample", "--manifold", "circle", "--n", "60"]) == 0
+                     "sample", "--manifold", "circle", "--n", str(n)]) == 0
     assert cli.main(["--out", str(graph), "build-graph", "--cloud", str(cloud),
                      "--epsilon", "0.1"]) == 0
     assert cli.main(["solve", "--graph", str(graph), "--cloud", str(cloud),
-                     "--method", "arc"]) == 0
+                     "--method", method]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out[out.index("{"):])
-    assert payload["certificate"] == "FamilyOptimum"
+    assert payload["certificate"] == certificate
 
 
 def test_cli_exit_codes(tmp_path):
@@ -162,8 +180,13 @@ def test_cli_validate_echoes_defaults(tmp_path, capsys):
     good.write_text(json.dumps({"manifold": "flat_torus_2", "n_list": [2000],
                                 "trials": 1, "seed": 0, "out": "x"}))
     assert cli.main(["validate", "--config", str(good)]) == 0
-    resolved = json.loads(capsys.readouterr().out)
+    echoed = capsys.readouterr().out
+    resolved = json.loads(echoed)
     assert resolved["epsilon_k"] == pytest.approx(0.3)  # 3/(2+4m), m=2
+    # the echoed config validates again, to the same config
+    good.write_text(echoed)
+    assert cli.main(["validate", "--config", str(good)]) == 0
+    assert capsys.readouterr().out == echoed
 
 
 def test_cli_converge_and_plot(tmp_path, capsys):
