@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
 from .manifold import (CheegerReference, Circle, FlatTorus2, PointCloud,
-                       Sphere2, _wrap, _wrap_dist)
+                       Sphere2, _wrap)
 from .nonlocal_tv import ContinuumFunction, SmoothingKernel, smooth, surface_tension
 from .proximity_graph import build_graph, gtv
 from .quadrature import QuadratureGrid, tangent_frames
@@ -140,27 +140,10 @@ def interpolate(u, surrogate: TransportSurrogate,
 # Fraenkel asymmetry
 # ---------------------------------------------------------------------------
 
-def _symdiff_vs_param(fvals, reference: CheegerReference, grid, param):
-    ref = reference.minimizer(param)
-    return float(np.dot(grid.weights, np.abs(fvals - ref.indicator(grid.nodes))))
-
-
 def match_minimizer(f: ContinuumFunction, reference: CheegerReference,
                     grid: QuadratureGrid):
     """(alpha, best family parameter) minimizing the symmetric difference."""
     return _match_node_values(f(grid.nodes), reference, grid)
-
-
-def _match_node_values(fvals, reference: CheegerReference, grid: QuadratureGrid):
-    """``match_minimizer`` for a function given by its values on the grid nodes."""
-    mf = reference.manifold
-    if isinstance(mf, Circle):
-        return _match_circle(fvals, reference, grid)
-    if isinstance(mf, FlatTorus2):
-        return _match_torus(fvals, reference, grid)
-    if isinstance(mf, Sphere2):
-        return _match_sphere(fvals, reference, grid)
-    raise ValueError("unsupported manifold")
 
 
 def fraenkel_asymmetry(f: ContinuumFunction, reference: CheegerReference,
@@ -168,72 +151,75 @@ def fraenkel_asymmetry(f: ContinuumFunction, reference: CheegerReference,
     return match_minimizer(f, reference, grid)[0]
 
 
-def _refine_scan(fun, lo, hi, levels=3, pts=48):
-    """Iterated bracketed grid scan; robust to the quadrature plateaus that
-    defeat golden-section on the piecewise-constant symmetric difference."""
-    best_v, best_x = np.inf, 0.5 * (lo + hi)
-    for _ in range(levels):
-        xs = np.linspace(lo, hi, pts)
-        vs = [fun(x) for x in xs]
-        k = int(np.argmin(vs))
-        if vs[k] < best_v:
-            best_v, best_x = vs[k], xs[k]
-        w = (hi - lo) / (pts - 1)
-        lo, hi = xs[k] - w, xs[k] + w
-    return best_v, best_x
+def _match_node_values(fvals, reference: CheegerReference, grid: QuadratureGrid):
+    """``match_minimizer`` for a function given by its values on the grid nodes.
+
+    |f - 1_E| = |f| + 1_E (|f - 1| - |f|), so the family member E that is
+    nearest to f is the one with the least sum of ``gain`` over its nodes.
+    """
+    mf = reference.manifold
+    if not isinstance(mf, (Circle, FlatTorus2, Sphere2)):
+        raise ValueError("unsupported manifold")
+    gain = grid.weights * (np.abs(fvals - 1.0) - np.abs(fvals))
+    coord = mf.to_intrinsic(grid.nodes)
+    if isinstance(mf, Circle):
+        # the arc centred at c is the window starting at c - 1/4
+        param = float(_wrap(_best_half_window(coord, gain)[1] + 0.25))
+    elif isinstance(mf, FlatTorus2):
+        s0, o0 = _best_half_window(coord[:, 0], gain)
+        s1, o1 = _best_half_window(coord[:, 1], gain)
+        param = (1, o1) if s1 < s0 else (0, o0)  # ties go to axis 0
+    else:
+        param = _match_sphere(gain, coord, mf)
+    member = reference.minimizer(param).indicator(grid.nodes)
+    return grid.integrate(np.abs(fvals - member)), param
 
 
-def _match_circle(fvals, reference, grid, coarse=512):
-    centers = (np.arange(coarse) + 0.5) / coarse
-    vals = [_symdiff_vs_param(fvals, reference, grid, c) for c in centers]
-    k = int(np.argmin(vals))
-    w = 2.0 / coarse
-    v, c = _refine_scan(lambda p: _symdiff_vs_param(fvals, reference, grid, _wrap(p)),
-                          centers[k] - w, centers[k] + w)
-    return v, float(_wrap(c))
+def _best_half_window(coord, gain):
+    """(least sum, offset) of ``gain`` over the window {wrap(coord - o) < 1/2}.
+
+    The node set changes only where o or o + 1/2 crosses a coordinate, so one
+    offset per gap between these breakpoints is exact. Gaps <= 1e-9 are rounding
+    (t_k - 1/2 vs t_{k+N/2} on an even lattice) and are skipped."""
+    order = np.argsort(coord, kind="stable")
+    t = coord[order]
+    b = np.sort(_wrap(np.concatenate([t, t - 0.5])))
+    gaps = np.diff(np.append(b, b[0] + 1.0))
+    mid = _wrap(b + 0.5 * gaps)[gaps > 1e-9]
+    # the window [o, o + 1/2) on the doubled coordinates [0, 2)
+    tt = np.concatenate([t, t + 1.0])
+    csum = np.concatenate([[0.0], np.cumsum(np.tile(gain[order], 2))])
+    scores = csum[np.searchsorted(tt, mid + 0.5)] - csum[np.searchsorted(tt, mid)]
+    k = int(np.argmin(scores))
+    return float(scores[k]), float(mid[k])
 
 
-def _match_torus(fvals, reference, grid, coarse=128):
-    best = (np.inf, None)
-    offsets = (np.arange(coarse) + 0.5) / coarse
-    for axis in (0, 1):
-        vals = [_symdiff_vs_param(fvals, reference, grid, (axis, o)) for o in offsets]
-        k = int(np.argmin(vals))
-        w = 2.0 / coarse
-        v, o = _refine_scan(
-            lambda p: _symdiff_vs_param(fvals, reference, grid, (axis, _wrap(p))),
-            offsets[k] - w, offsets[k] + w)
-        if v < best[0]:
-            best = (v, (axis, float(_wrap(o))))
-    return best
-
-
-def _match_sphere(fvals, reference, grid, levels=3):
-    # coarse pole grid, then local tangent refinement
+def _match_sphere(gain, u, manifold):
+    # half-volume caps {u . pole >= 0}: coarse pole grid, then tangent descent
     golden = np.pi * (3.0 - np.sqrt(5.0))
     k = np.arange(256)
     z = 1.0 - 2.0 * (k + 0.5) / 256
     rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     poles = np.stack([rad * np.cos(golden * k), rad * np.sin(golden * k), z], axis=1)
-    vals = [_symdiff_vs_param(fvals, reference, grid, p) for p in poles]
+    vals = gain @ (u @ poles.T >= 0.0)
     best_i = int(np.argmin(vals))
     best_v, best_p = vals[best_i], poles[best_i]
     step = 0.2
-    for _ in range(levels):
-        e1, e2 = tangent_frames(reference.manifold, best_p[None, :])
+    for _ in range(3):
+        e1, e2 = tangent_frames(manifold, best_p[None, :])
         for _ in range(40):
             improved = False
             for d in (e1[0], -e1[0], e2[0], -e2[0]):
                 cand = best_p + step * d
                 cand = cand / np.linalg.norm(cand)
-                v = _symdiff_vs_param(fvals, reference, grid, cand)
+                v = gain @ (u @ cand >= 0.0)
                 if v < best_v:
                     best_v, best_p = v, cand
                     improved = True
             if not improved:
                 break
         step /= 4.0
-    return best_v, best_p
+    return best_p
 
 
 # ---------------------------------------------------------------------------
@@ -420,16 +406,14 @@ class CutError(NamedTuple):
 
 
 def cut_l1_error(cut, cloud: PointCloud, reference: CheegerReference,
-                 a, grid: QuadratureGrid) -> CutError:
+                 grid: QuadratureGrid) -> CutError:
     """L1 distance of the transported cut indicator to the minimizer family."""
     u = np.zeros(cloud.n)
     u[np.asarray(cut.subset, dtype=int)] = 1.0
     sur = transport_assign(cloud, grid)
-    vals = sur.pullback(u)
     # match directly on the node values; the family covers complements
-    alpha, param = _match_node_values(vals, reference, grid)
-    ref = reference.minimizer(param)
-    disc = float(np.mean(u != ref.indicator(cloud.points)))
+    alpha, param = _match_node_values(sur.pullback(u), reference, grid)
+    disc = float(np.mean(u != reference.minimizer(param).indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
     return CutError(l1_error=float(alpha), matched_param=param,
                     discrete_error=disc, sup_displacement=sur.sup_displacement)

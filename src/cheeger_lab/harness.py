@@ -4,7 +4,8 @@ A sweep runs (n, trial) tasks, each fully determined by the config and the
 master seed: sample a cloud, build the proximity graph, solve for the
 Cheeger cut, and compare the ratio and the cut against the continuum
 references. Each task writes one JSON record; re-running a partially
-completed sweep skips existing records, and the run digest (a hash of the
+completed sweep skips existing records of the same config (a record of
+another config raises ``ConfigError``), and the run digest (a hash of the
 records minus timings) is independent of the worker count.
 """
 
@@ -169,8 +170,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     target = surface_tension(mf.m) * ref.constant
     grid = build_grid(mf, cfg.grid_resolution if mf.name == "circle"
                       else (96 if mf.name == "flat_torus_2" else 4000))
-    a = cfg.bandwidth(n)
-    err = cut_l1_error(result, cloud, ref, a=a, grid=grid)
+    err = cut_l1_error(result, cloud, ref, grid=grid)
     # exact transport distance on the circle; unmeasured elsewhere, where the
     # covering radius sup_displacement is only a lower bound on it
     transport_delta = (circle_transport_delta(cloud)
@@ -180,7 +180,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
              else eps ** (1.0 / 6.0) + transport_delta / eps)
     rec = {
         "config_hash": config_hash(cfg), "n": int(n), "trial": int(trial),
-        "epsilon": eps, "a": a, "trial_seed": int(seed),
+        "epsilon": eps, "a": cfg.bandwidth(n), "trial_seed": int(seed),
         "cheeger_ratio": float(result.objective_value),
         "continuum_ref": float(target),
         "abs_error": abs(float(result.objective_value) - float(target)),
@@ -211,8 +211,8 @@ def _worker(args):
     try:
         rec = run_trial(cfg, n, trial)
     except Exception as exc:  # noqa: BLE001 - per-trial isolation
-        rec = {"n": int(n), "trial": int(trial), "failed": True,
-               "error": f"{type(exc).__name__}: {exc}"}
+        rec = {"config_hash": config_hash(cfg), "n": int(n), "trial": int(trial),
+               "failed": True, "error": f"{type(exc).__name__}: {exc}"}
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
         json.dump(rec, fh, indent=2, sort_keys=True)
@@ -232,9 +232,16 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> dict:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = workers or default_workers()
-    tasks = [(asdict(cfg), n, t, str(out_dir))
-             for n in cfg.n_list for t in range(cfg.trials)]
-    pending = [t for t in tasks if not _record_path(out_dir, t[1], t[2]).exists()]
+    want = config_hash(cfg)
+    pending = []
+    for n in cfg.n_list:
+        for t in range(cfg.trials):
+            path = _record_path(out_dir, n, t)
+            if not path.exists():
+                pending.append((asdict(cfg), n, t, str(out_dir)))
+            elif json.loads(path.read_text()).get("config_hash") != want:
+                raise ConfigError(f"{path} was written by another config; resume "
+                                  "only into an output directory of the same config")
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_worker, pending))
@@ -249,7 +256,7 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> dict:
                 records.append(json.load(fh))
     good = [r for r in records if not r.get("failed")]
     _write_summary(out_dir / "summary.csv", good)
-    rates = _write_rates(out_dir / "rates.json", cfg, good)
+    rates = _write_rates(out_dir / "rates.json", cfg, records)
     digest = run_digest(records)
     with open(out_dir / "digest.txt", "w") as fh:
         fh.write(digest + "\n")
@@ -282,11 +289,14 @@ def _write_rates(path, cfg, records):
     mf = get_manifold(cfg.manifold)
     out = {"schedule": cfg.schedule_meta, "epsilon_rule":
            {"c": cfg.epsilon_c, "k": cfg.epsilon_k,
-            "log_correction": cfg.log_correction}}
+            "log_correction": cfg.log_correction},
+           "n_failed": {str(n): sum(1 for r in records if r["n"] == n and r.get("failed"))
+                        for n in cfg.n_list}}
     for key in ("abs_error", "l1_cut_error"):
         by_n = {}
         for r in records:
-            by_n.setdefault(r["n"], []).append(r[key])
+            if not r.get("failed"):
+                by_n.setdefault(r["n"], []).append(r[key])
         try:
             rr = fit_rate(by_n, m=mf.m, seed=cfg.seed)
             out[key] = rr.as_dict()

@@ -7,7 +7,7 @@ import pytest
 
 from cheeger_lab import cli
 from cheeger_lab.errors import ConfigError, MissingColumns
-from cheeger_lab.harness import (ExperimentConfig, emit_plot_data,
+from cheeger_lab.harness import (ExperimentConfig, config_hash, emit_plot_data,
                                  run_experiment, run_trial, trial_seed,
                                  validate_config)
 
@@ -75,6 +75,11 @@ def test_run_experiment_cardinality_and_rerun(tmp_path):
     rows = summary.decode().splitlines()
     assert rows[0].startswith("n,epsilon,trial_seed,cheeger_ratio")
     assert len(rows) == 5
+    # a different config must not reuse, or overwrite, these records
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    with pytest.raises(ConfigError, match="record_n100_t0.json"):
+        run_experiment(small_config(tmp_path / "run", epsilon_c=1.5))
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
 def test_crash_resume_digest(tmp_path):
@@ -137,11 +142,13 @@ def test_failed_trials_are_isolated(tmp_path):
     out.mkdir()
     # pre-seed a failed record; the sweep must skip it and still aggregate
     (out / "record_n100_t0.json").write_text(
-        json.dumps({"n": 100, "trial": 0, "failed": True, "error": "X: boom"}))
+        json.dumps({"config_hash": config_hash(cfg), "n": 100, "trial": 0,
+                    "failed": True, "error": "X: boom"}))
     res = run_experiment(cfg)
     assert len(res["records"]) == 4
     rows = Path(res["summary_path"]).read_text().splitlines()
     assert len(rows) == 4  # header + 3 good records
+    assert res["rates"]["n_failed"] == {"100": 1, "200": 0}
 
 
 # ---------------------------------------------------------------------------
