@@ -453,6 +453,7 @@ def fit_rate(records, m=1, seed=0, n_boot=1000, min_trials=5) -> RateReport:
     floor = 1e-300
 
     def slope_of(meds):
+        """Slopes and intercepts; ``meds`` is (len(ns),) or (len(ns), k)."""
         x = np.log(np.asarray(ns, dtype=float))
         y = np.log(np.maximum(meds, floor))
         A = np.stack([x, np.ones_like(x)], axis=1)
@@ -461,12 +462,14 @@ def fit_rate(records, m=1, seed=0, n_boot=1000, min_trials=5) -> RateReport:
 
     meds = np.array([np.median(records[n]) for n in ns])
     slope, intercept = slope_of(meds)
+    # resample indices in the (draw, n) order of rng.choice, then take every
+    # bootstrap median and slope at once
     rng = np.random.default_rng(seed)
-    boot = np.empty(n_boot)
+    idx = {n: np.empty((n_boot, len(records[n])), dtype=np.int64) for n in ns}
     for b in range(n_boot):
-        bm = np.array([np.median(rng.choice(records[n], size=len(records[n])))
-                       for n in ns])
-        boot[b] = slope_of(bm)[0]
+        for n in ns:
+            idx[n][b] = rng.integers(0, len(records[n]), size=len(records[n]))
+    boot = slope_of(np.stack([np.median(records[n][idx[n]], axis=1) for n in ns]))[0]
     ci = (float(np.percentile(boot, 5)), float(np.percentile(boot, 95)))
     return RateReport(schedule=schedule_exponents(m), fitted_slope=float(slope),
                       slope_ci=ci,

@@ -86,11 +86,15 @@ class Manifold:
         pts = self._sample(rng, n)
         return PointCloud(points=pts, seed=int(seed), manifold=self)
 
+    def geodesic_distance(self, x, y):
+        return self.intrinsic_distance(self.to_intrinsic(x), self.to_intrinsic(y))
+
     # -- to be provided by subclasses -------------------------------------
     def _sample(self, rng, n):
         raise NotImplementedError
 
-    def geodesic_distance(self, x, y):
+    def intrinsic_distance(self, a, b):
+        """Geodesic distance between points given in intrinsic coordinates."""
         raise NotImplementedError
 
     def to_intrinsic(self, points):
@@ -137,8 +141,8 @@ class Circle(Manifold):
         points = np.asarray(points, dtype=float)
         return _wrap(np.arctan2(points[..., 1], points[..., 0]) / TWO_PI)
 
-    def geodesic_distance(self, x, y):
-        return _wrap_dist(self.to_intrinsic(x), self.to_intrinsic(y))
+    def intrinsic_distance(self, a, b):
+        return _wrap_dist(a, b)
 
     def on_manifold_residual(self, points):
         return np.abs(np.linalg.norm(points, axis=-1) - self.radius)
@@ -182,9 +186,7 @@ class FlatTorus2(Manifold):
         v = _wrap(np.arctan2(points[..., 3], points[..., 2]) / TWO_PI)
         return np.stack([u, v], axis=-1)
 
-    def geodesic_distance(self, x, y):
-        a = self.to_intrinsic(x)
-        b = self.to_intrinsic(y)
+    def intrinsic_distance(self, a, b):
         du = _wrap_dist(a[..., 0], b[..., 0])
         dv = _wrap_dist(a[..., 1], b[..., 1])
         return np.sqrt(du * du + dv * dv)
@@ -231,9 +233,7 @@ class Sphere2(Manifold):
         points = np.asarray(points, dtype=float)
         return points / np.linalg.norm(points, axis=-1, keepdims=True)
 
-    def geodesic_distance(self, x, y):
-        a = self.to_intrinsic(x)
-        b = self.to_intrinsic(y)
+    def intrinsic_distance(self, a, b):
         dot = np.clip(np.sum(a * b, axis=-1), -1.0, 1.0)
         return self.radius * np.arccos(dot)
 

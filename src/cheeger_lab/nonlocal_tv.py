@@ -218,14 +218,25 @@ def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2, n_bands=2400):
     sin_t = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
     pts = mf.radius * (np.outer(zc, axis) + np.outer(sin_t, e1))
     fv = f(pts)
-    cos_alpha = np.cos(h / mf.radius)
-    A = np.outer(zc, zc)
-    B = np.outer(sin_t, sin_t)
+    alpha = h / mf.radius
+    cos_alpha = np.cos(alpha)
+    # Bands more than alpha apart in colatitude have cphi >= 1, a zero term:
+    # pair each band only with the bands within alpha plus two mean band
+    # widths, a slack far above the rounding of cphi near 1.
+    neg_theta = -np.arccos(zc)  # increasing with the band index
+    reach = alpha + 2.0 * np.pi / n_bands
+    lo = np.searchsorted(neg_theta, neg_theta - reach, side="left")
+    hi = np.searchsorted(neg_theta, neg_theta + reach, side="right")
+    counts = hi - lo
+    i = np.repeat(np.arange(n_bands), counts)
+    j = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    A = zc[i] * zc[j]
+    B = sin_t[i] * sin_t[j]
     with np.errstate(divide="ignore", invalid="ignore"):
         cphi = np.where(B > 0, (cos_alpha - A) / np.where(B > 0, B, 1.0),
                         np.where(cos_alpha - A <= 0, -1.0, 1.0))
     phi_star = np.arccos(np.clip(cphi, -1.0, 1.0))
-    diff = np.abs(fv[:, None] - fv[None, :])
+    diff = np.abs(fv[i] - fv[j])
     total = (w * w) * float(np.sum(phi_star / np.pi * diff))
     return total / h ** 3
 
@@ -286,6 +297,12 @@ def perimeter_reference(manifold, ref: ReferenceSet) -> float:
 # Smoothing operator
 # ---------------------------------------------------------------------------
 
+# Kernel pairs per evaluator block of `smooth`. A block's arrays take about
+# 100-150 bytes a pair, so this bounds the evaluator's memory whatever the
+# number of evaluation points.
+_BLOCK_PAIRS = 1_000_000
+
+
 def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
            grid: QuadratureGrid) -> ContinuumFunction:
     """Normalized geodesic kernel average Lambda_a f, by shared quadrature."""
@@ -298,23 +315,30 @@ def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
             f"grid spacing {grid.spacing:.4g} coarser than a/4 = {a / 4:.4g}")
     node_vals = f(grid.nodes)
     node_tree = cKDTree(grid.nodes)
-    nodes = grid.nodes
+    node_coords = mf.to_intrinsic(grid.nodes)
     weights = grid.weights
+    # evaluation points per block, so a block holds about _BLOCK_PAIRS pairs
+    block = max(1, int(_BLOCK_PAIRS / (grid.size * mf.ball_volume(a))))
 
     def evaluator(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        qt = cKDTree(pts)
-        # ambient chord <= geodesic, so radius a covers the geodesic ball
-        coo = qt.sparse_distance_matrix(node_tree, a, output_type="coo_matrix")
-        rows, cols = coo.row, coo.col
-        dgeo = mf.geodesic_distance(pts[rows], nodes[cols])
-        phi = kernel.profile(dgeo / a)
-        wphi = weights[cols] * phi
-        num = np.bincount(rows, weights=wphi * node_vals[cols], minlength=len(pts))
-        den = np.bincount(rows, weights=wphi, minlength=len(pts))
-        if np.any(den == 0):
-            raise ResolutionTooCoarse("empty kernel support at an evaluation point")
-        return num / den
+        coords = mf.to_intrinsic(pts)
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), block):
+            stop = min(start + block, len(pts))
+            qt = cKDTree(pts[start:stop])
+            # ambient chord <= geodesic, so radius a covers the geodesic ball
+            coo = qt.sparse_distance_matrix(node_tree, a, output_type="coo_matrix")
+            rows, cols = coo.row, coo.col
+            dgeo = mf.intrinsic_distance(coords[start:stop][rows], node_coords[cols])
+            phi = kernel.profile(dgeo / a)
+            wphi = weights[cols] * phi
+            num = np.bincount(rows, weights=wphi * node_vals[cols], minlength=stop - start)
+            den = np.bincount(rows, weights=wphi, minlength=stop - start)
+            if np.any(den == 0):
+                raise ResolutionTooCoarse("empty kernel support at an evaluation point")
+            out[start:stop] = num / den
+        return out
 
     return ContinuumFunction(evaluator=evaluator, bound=f.bound,
                              zonal_axis=f.zonal_axis)
@@ -389,13 +413,14 @@ def check_smoothing_chain(manifold, ref: ReferenceSet, h, a, C=10.0,
     tvh = tv_nonlocal(f, h, grid)
     kern = SmoothingKernel(a=a, m=manifold.m)
     lam = smooth(f, kern, grid)
-    tv_sm = tv_local_smooth(lam, grid)
+    grad = gradient_norm_fd(lam, grid)
+    tv_sm = float(np.dot(grid.weights, grad))
     sup = f.bound if f.bound is not None else float(np.abs(f(grid.nodes)).max())
     lhs = sigma * tv_sm
     bound = (1.0 + C * (h * h + a)) * tvh + C * (h / (a * a) + a) * sup
     l1 = float(np.dot(grid.weights, np.abs(lam(grid.nodes) - f(grid.nodes))))
     l1_ok = l1 <= C * a * tvh if tvh > 1e-14 else l1 <= 1e-12
-    grad_max = float(gradient_norm_fd(lam, grid).max())
+    grad_max = float(grad.max())
     rep.add(h=h, a=a, sigma_tv_smooth=lhs, tv_h=tvh, bound=bound,
             ok=lhs <= bound, chain_ratio=lhs / tvh if tvh > 0 else np.nan)
     rep.add(h=h, a=a, l1_diff=l1, l1_over_a_tvh=l1 / (a * tvh) if tvh > 0 else 0.0,

@@ -32,6 +32,11 @@ def test_geodesic_distance_metric_properties(name):
     # geodesic dominates the ambient chord
     chord = np.linalg.norm(x - y, axis=-1)
     assert np.all(d >= chord - 1e-12)
+    # to_intrinsic works row by row, so coordinates taken once serve any pairing
+    coords = mf.to_intrinsic(pts)
+    rows = np.array([3, 0, 3, 49])
+    assert np.array_equal(coords[rows], mf.to_intrinsic(pts[rows]))
+    assert np.array_equal(mf.intrinsic_distance(coords[:25], coords[25:]), d)
 
 
 @pytest.mark.parametrize("name", ALL)

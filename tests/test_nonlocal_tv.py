@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from cheeger_lab import nonlocal_tv
 from cheeger_lab.errors import (DegenerateFunction, ResolutionTooCoarse,
                                 UnsupportedDimension)
 from cheeger_lab.manifold import (CircleArc, SphereCap, TorusStrip,
@@ -255,3 +259,104 @@ def test_gradient_bound_of_smoothed_indicator():
     lam = smooth(indicator_function(CircleArc(CIRCLE, center=0.25)),
                  SmoothingKernel(a=a, m=1), g)
     assert gradient_norm_fd(lam, g).max() <= 10.0 / a
+
+
+def _tvh_sphere_zonal_dense(f, h, mf, n_bands=2400):
+    """All band pairs, no banding: the reference for the zonal TV_h path."""
+    axis = np.asarray(f.zonal_axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    ref = np.zeros(3)
+    ref[np.argmin(np.abs(axis))] = 1.0
+    e1 = np.cross(axis, ref)
+    e1 /= np.linalg.norm(e1)
+    z_edges = np.linspace(-1.0, 1.0, n_bands + 1)
+    zc = 0.5 * (z_edges[:-1] + z_edges[1:])
+    w = 1.0 / n_bands
+    sin_t = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
+    pts = mf.radius * (np.outer(zc, axis) + np.outer(sin_t, e1))
+    fv = f(pts)
+    cos_alpha = np.cos(h / mf.radius)
+    A = np.outer(zc, zc)
+    B = np.outer(sin_t, sin_t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cphi = np.where(B > 0, (cos_alpha - A) / np.where(B > 0, B, 1.0),
+                        np.where(cos_alpha - A <= 0, -1.0, 1.0))
+    phi_star = np.arccos(np.clip(cphi, -1.0, 1.0))
+    diff = np.abs(fv[:, None] - fv[None, :])
+    total = (w * w) * float(np.sum(phi_star / np.pi * diff))
+    return total / h ** 3
+
+
+@pytest.mark.parametrize("h", [0.01, 0.04, 0.1, 0.25])
+def test_sphere_zonal_tvh_matches_dense_band_sum(h):
+    pole = np.random.default_rng(7).standard_normal(3)
+    funcs = [indicator_function(SphereCap(SPHERE, pole=[0, 0, 1])),
+             indicator_function(SphereCap(SPHERE, pole=pole)),
+             ContinuumFunction(evaluator=lambda p: 0.5 * (1 + SPHERE.to_intrinsic(p)[..., 2]),
+                               zonal_axis=np.array([0.0, 0.0, 1.0]))]
+    g = grid_for_scale(SPHERE, h, 4)
+    for f in funcs:
+        dense = _tvh_sphere_zonal_dense(f, h, SPHERE)
+        assert dense > 0
+        assert tv_nonlocal(f, h, g) == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
+def test_smooth_blocks_change_nothing(monkeypatch, name):
+    mf = get_manifold(name)
+    f = indicator_function(continuum_cheeger(mf).default_minimizer())
+    a = 0.1
+    g = grid_for_scale(mf, a, 4)
+    kern = SmoothingKernel(a=a, m=mf.m)
+    pts = np.concatenate([mf.sample(1001, seed=3).points, g.nodes])
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1e15)
+    whole = smooth(f, kern, g)(pts)
+    trees = []
+
+    def counting_tree(data):
+        trees.append(len(data))
+        return cKDTree(data)
+
+    # about 50 points a block; 1001 + g.size is no multiple of 49 or 50
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
+    monkeypatch.setattr(nonlocal_tv, "cKDTree", counting_tree)
+    blocked = smooth(f, kern, g)(pts)
+    block = trees[1]
+    assert block in (49, 50) and len(trees) == 2 + len(pts) // block
+    assert 0 < trees[-1] < block
+    assert np.allclose(blocked, whole, rtol=1e-13, atol=0)
+
+
+def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
+    # 40 nodes 0.025 apart: the midpoints are 0.0125 from every node, beyond
+    # a = 0.01; the stated spacing is a lie, so only the evaluator can tell
+    g = dataclasses.replace(build_grid(CIRCLE, 40), spacing=0.0)
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1.0)
+    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.01, m=1), g)
+    pts = np.concatenate([g.nodes[:7], CIRCLE.to_ambient(np.array([0.05]))])
+    with pytest.raises(ResolutionTooCoarse, match="empty kernel support"):
+        lam(pts)
+    assert np.array_equal(lam(g.nodes[:7]), np.ones(7))
+
+
+@pytest.mark.parametrize("name,h,a", [("circle", 0.02, 0.1),
+                                      ("flat_torus_2", 0.1, 0.2),
+                                      ("sphere_2", 0.1, 0.2)])
+def test_smoothing_chain_takes_one_gradient(monkeypatch, name, h, a):
+    mf = get_manifold(name)
+    ref = continuum_cheeger(mf).default_minimizer()
+    calls = []
+
+    def counting_gradient(f, grid, step=None):
+        calls.append(grid)
+        return gradient_norm_fd(f, grid, step=step)
+
+    monkeypatch.setattr(nonlocal_tv, "gradient_norm_fd", counting_gradient)
+    rep = check_smoothing_chain(mf, ref, h, a, grid_factor=4)
+    assert len(calls) == 1
+    g = grid_for_scale(mf, h, 4)
+    lam = smooth(indicator_function(ref), SmoothingKernel(a=a, m=mf.m), g)
+    grad = gradient_norm_fd(lam, g)
+    assert rep.entries[0]["sigma_tv_smooth"] == surface_tension(mf.m) * float(
+        np.dot(g.weights, grad))
+    assert rep.entries[2]["grad_max"] == float(grad.max())
