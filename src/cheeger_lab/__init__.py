@@ -4,8 +4,7 @@ from .errors import CheegerLabError
 from .manifold import (CheegerReference, Circle, CircleArc, FlatTorus2,
                        PointCloud, Sphere2, SphereCap, TorusStrip,
                        continuum_cheeger, get_manifold)
-from .proximity_graph import (CHEEGER_RATIO, MODULARITY, RATIO_CUT,
-                              ProximityGraph, build_graph, cut_and_balance,
+from .proximity_graph import (ProximityGraph, build_graph, cut_and_balance,
                               cut_size, gtv, objective)
 from .cut_solvers import (CutResult, refine_local_search, solve_arc_sweep,
                           solve_exact, solve_pipeline, solve_spectral_sweep)

@@ -63,33 +63,41 @@ class TransportSurrogate:
         return u[self.assignment]
 
 
+_TIE = 1e-12  # geodesic distances this close to the nearest one are ties
+
+
+def _tree_coords(manifold, points):
+    """Coordinates in which a k-d tree's distance order is the geodesic order:
+    intrinsic ones in the periodic unit box on the circle and the torus,
+    ambient ones (chords) on the sphere."""
+    if isinstance(manifold, Sphere2):
+        return points
+    t = manifold.to_intrinsic(points).reshape(len(points), -1)
+    t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
+    return t
+
+
 def transport_assign(cloud: PointCloud, nodes) -> TransportSurrogate:
     """Exact geodesic-nearest sample assignment (ties to smallest index)."""
     grid = nodes if isinstance(nodes, QuadratureGrid) else None
     pts = grid.nodes if grid is not None else np.atleast_2d(np.asarray(nodes, float))
     mf = cloud.manifold
     samples = cloud.points
-    tree = cKDTree(samples)
-    _, idx0 = tree.query(pts)
-    g0 = mf.geodesic_distance(pts, samples[idx0])
-    # any strictly closer sample (geodesically) must be within chord radius g0
-    assignment = np.asarray(idx0, dtype=int).copy()
-    best = np.asarray(g0, dtype=float).copy()
-    lists = tree.query_ball_point(pts, np.maximum(best, 1e-15))
-    for k, cand in enumerate(lists):
-        if len(cand) <= 1:
-            continue
-        cand = np.asarray(cand, dtype=int)
-        d = mf.geodesic_distance(pts[k][None, :], samples[cand])
-        d = np.atleast_1d(d)
-        dmin = d.min()
-        winners = cand[d <= dmin + 1e-12]
-        w = int(winners.min())
-        if dmin < best[k] - 1e-15 or (abs(dmin - best[k]) <= 1e-12 and w < assignment[k]):
-            assignment[k] = w
-            best[k] = dmin
+    tree = cKDTree(_tree_coords(mf, samples),
+                   boxsize=None if isinstance(mf, Sphere2) else 1.0)
+    x = _tree_coords(mf, pts)
+    d, idx = tree.query(x, k=2)
+    assignment = idx[:, 0].copy()
+    # the second nearest sample may tie; then take the smallest index among
+    # every sample within _TIE of the geodesic minimum (a chord gap is at most
+    # the geodesic gap, so the doubled radius holds them all)
+    for r in np.flatnonzero(d[:, 1] <= d[:, 0] + 2 * _TIE):
+        cand = np.asarray(tree.query_ball_point(x[r], d[r, 0] + 2 * _TIE))
+        g = mf.geodesic_distance(pts[r][None, :], samples[cand])
+        assignment[r] = cand[g <= g.min() + _TIE].min()
+    sup = float(mf.geodesic_distance(pts, samples[assignment]).max())
     return TransportSurrogate(cloud=cloud, nodes=pts, assignment=assignment,
-                              sup_displacement=float(best.max()), grid=grid)
+                              sup_displacement=sup, grid=grid)
 
 
 def circle_transport_delta(cloud: PointCloud) -> float:

@@ -1,4 +1,4 @@
-"""Exact and approximate minimizers of the balanced graph-cut objectives.
+"""Exact and approximate minimizers of the graph Cheeger ratio.
 
 The discrete Cheeger problem is NP-hard, so we provide:
 
@@ -9,8 +9,10 @@ The discrete Cheeger problem is NP-hard, so we provide:
 * ``solve_pipeline``      -- spectral (+ arc) sweep followed by local search;
   this upper-bounds the true minimum.
 
-Subsets are stored canonically as the side containing vertex 0, sorted.
-Ties are broken by the lexicographically smallest canonical subset.
+Every solver scores a cut with ``proximity_graph.cheeger_ratio``, so a set
+and its complement score the same float. Subsets are stored canonically as the
+side containing vertex 0, sorted. Among subsets with equal float value, ties
+go to the lexicographically smallest canonical subset.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenNotConverged, SizeLimitExceeded, WrongManifold
 from .manifold import Circle
-from .proximity_graph import (CHEEGER_RATIO, MODULARITY, RATIO_CUT,
-                              ProximityGraph, _as_mask, cut_and_balance,
-                              objective)
+from .proximity_graph import (ProximityGraph, _as_mask, cheeger_ratio,
+                              cut_and_balance, objective)
 
 EXACT_LIMIT = 24
+LOBPCG_TOL = 1e-8
+LOBPCG_MAXITER = 10_000
+LOCAL_SEARCH_PASSES = 10
 
 
 @dataclass
@@ -52,10 +56,10 @@ def canonical_subset(n, subset):
 
 
 def result_from_subset(graph, subset, solver, certificate, elapsed,
-                       kind=CHEEGER_RATIO, gamma=1.0, extras=None) -> CutResult:
+                       extras=None) -> CutResult:
     subset = canonical_subset(graph.n, subset)
     g, bal = cut_and_balance(graph, subset)
-    val = objective(graph, subset, kind=kind, gamma=gamma)
+    val = objective(graph, subset)
     return CutResult(subset=subset, objective_value=val, gtv=g, balance=bal,
                      solver=solver, certificate=certificate, elapsed=elapsed,
                      extras=extras or {})
@@ -69,7 +73,7 @@ def _subset_key(subset):
 # Exact enumeration
 # ---------------------------------------------------------------------------
 
-def solve_exact(graph: ProximityGraph, kind=CHEEGER_RATIO, gamma=1.0) -> CutResult:
+def solve_exact(graph: ProximityGraph) -> CutResult:
     """Global optimum by enumerating all proper bipartitions up to complement."""
     t0 = time.perf_counter()
     n = graph.n
@@ -98,22 +102,7 @@ def solve_exact(graph: ProximityGraph, kind=CHEEGER_RATIO, gamma=1.0) -> CutResu
             bi = ones if i == 0 else bits[i]
             bj = ones if j == 0 else bits[j]
             cut += bi ^ bj
-        frac = size / n
-        g = 2.0 * scale * cut
-        if kind == MODULARITY:
-            vals = g + gamma * (frac ** 2 + (1.0 - frac) ** 2)
-            proper = np.ones(len(ids), dtype=bool)
-        else:
-            bal = np.minimum(frac, 1.0 - frac)
-            proper = size < n
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if kind == CHEEGER_RATIO:
-                    vals = np.where(proper, g / np.where(bal > 0, bal, 1.0), np.inf)
-                elif kind == RATIO_CUT:
-                    den = frac * (1.0 - frac)
-                    vals = np.where(proper, g / np.where(den > 0, den, 1.0), np.inf)
-                else:
-                    raise ValueError(f"unknown objective kind {kind!r}")
+        vals = cheeger_ratio(cut, size, n, scale)
         cmin = vals.min()
         if cmin < best_val:
             best_val = cmin
@@ -124,8 +113,7 @@ def solve_exact(graph: ProximityGraph, kind=CHEEGER_RATIO, gamma=1.0) -> CutResu
     subset = _id_to_subset(best_id, n)
     return result_from_subset(graph, subset, solver="exact",
                               certificate="GlobalOptimum",
-                              elapsed=time.perf_counter() - t0,
-                              kind=kind, gamma=gamma)
+                              elapsed=time.perf_counter() - t0)
 
 
 def _id_to_subset(idx, n):
@@ -172,8 +160,6 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     mf = graph.cloud.manifold
     t = mf.to_intrinsic(graph.points)
     order = np.argsort(t, kind="stable")
-    rank = np.empty(n, dtype=int)
-    rank[order] = np.arange(n)
 
     # directional neighbor-window sizes from the actual adjacency
     lccw = np.zeros(n, dtype=np.int64)  # neighbors among angular predecessors
@@ -192,17 +178,14 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     lccw_s = lccw[order]
     rcw_s = rcw[order]
 
-    scale = graph.rescale
     cut = deg_s.astype(np.float64).copy()  # arcs of length 1 starting at s
-    best_val = np.inf
-    best_sk = (0, 1)
+    # every arc of length k has the same balance, and the integer-valued cuts
+    # keep their order under the positive factor: keep each k's least cut
+    start = np.empty(n - 1, dtype=np.int64)
+    least = np.empty(n - 1)
     for k in range(1, n):
-        bal = min(k, n - k) / n
-        vals = (2.0 * scale) * cut / bal
-        s = int(np.argmin(vals))
-        if vals[s] < best_val:
-            best_val = float(vals[s])
-            best_sk = (s, k)
+        s = int(np.argmin(cut))
+        start[k - 1], least[k - 1] = s, cut[s]
         if k == n - 1:
             break
         # extend every arc by the vertex at position s+k
@@ -211,8 +194,8 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
         rv = np.roll(rcw_s, -k)
         into = np.minimum(lv, k) + np.maximum(0, k + rv + 1 - n)
         cut = cut + dv - 2.0 * into
-    s, k = best_sk
-    subset = order[(s + np.arange(k)) % n]
+    k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, graph.rescale))) + 1
+    subset = order[(start[k - 1] + np.arange(k)) % n]
     return result_from_subset(graph, subset, solver="arc_sweep",
                               certificate="FamilyOptimum",
                               elapsed=time.perf_counter() - t0)
@@ -222,7 +205,7 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
 # Spectral sweep
 # ---------------------------------------------------------------------------
 
-def fiedler_vector(graph: ProximityGraph, seed=0, tol=1e-8, maxiter=10_000):
+def fiedler_vector(graph: ProximityGraph, seed=0):
     """Second eigenvector of L = D - W, deflating the constant vector."""
     n = graph.n
     W = graph.adjacency
@@ -237,8 +220,8 @@ def fiedler_vector(graph: ProximityGraph, seed=0, tol=1e-8, maxiter=10_000):
     Y = np.ones((n, 1)) / np.sqrt(n)
     try:
         with np.errstate(all="ignore"):
-            vals, vecs = spla.lobpcg(L.astype(float), X, Y=Y, tol=tol,
-                                     maxiter=maxiter, largest=False)
+            vals, vecs = spla.lobpcg(L, X, Y=Y, tol=LOBPCG_TOL,
+                                     maxiter=LOBPCG_MAXITER, largest=False)
     except Exception as exc:  # noqa: BLE001 - surfaced as a typed error
         raise EigenNotConverged(f"lobpcg failed: {exc}") from exc
     v = vecs[:, 0]
@@ -246,7 +229,7 @@ def fiedler_vector(graph: ProximityGraph, seed=0, tol=1e-8, maxiter=10_000):
     res = float(np.linalg.norm(L @ v - lam * v))
     if not np.isfinite(res) or res > 1e-5 * max(1.0, float(deg.max())):
         raise EigenNotConverged("Fiedler iteration did not converge",
-                                iterations=maxiter, residual=res)
+                                iterations=LOBPCG_MAXITER, residual=res)
     return v, res
 
 
@@ -288,9 +271,7 @@ def _best_sweep_k(graph, order):
         np.add.at(diff, lo + 1, 1)
         np.add.at(diff, hi + 1, -1)
     cut = np.cumsum(diff)[1:n]  # cut of prefix size k, k = 1..n-1
-    k = np.arange(1, n)
-    bal = np.minimum(k, n - k) / n
-    vals = 2.0 * graph.rescale * cut / bal
+    vals = cheeger_ratio(cut, np.arange(1, n), n, graph.rescale)
     return int(np.argmin(vals)) + 1
 
 
@@ -298,8 +279,7 @@ def _best_sweep_k(graph, order):
 # Local search
 # ---------------------------------------------------------------------------
 
-def refine_local_search(graph: ProximityGraph, start: CutResult,
-                        max_passes=10) -> CutResult:
+def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
     """Greedy best single-vertex moves on the Cheeger ratio."""
     t0 = time.perf_counter()
     n = graph.n
@@ -309,19 +289,18 @@ def refine_local_search(graph: ProximityGraph, start: CutResult,
     deg = graph.degrees
     d_in = A @ mask.astype(float)
     d_in = d_in.astype(np.int64)
-    cut = int(_cut_from_din(mask, deg, d_in))
+    # each inside vertex contributes deg - d_in crossing edges
+    cut = int(np.sum(deg[mask] - d_in[mask]))
     size = int(mask.sum())
     scale = graph.rescale
-    cur = _ratio(cut, size, n, scale)
+    cur = float(cheeger_ratio(cut, size, n, scale))
     moves = 0
-    for _ in range(max_passes):
+    for _ in range(LOCAL_SEARCH_PASSES):
         improved = False
         for _ in range(n):
             cut_new = np.where(mask, cut - deg + 2 * d_in, cut + deg - 2 * d_in)
             size_new = np.where(mask, size - 1, size + 1)
-            bal_new = np.minimum(size_new, n - size_new) / n
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(bal_new > 0, 2.0 * scale * cut_new / bal_new, np.inf)
+            vals = cheeger_ratio(cut_new, size_new, n, scale)
             v = int(np.argmin(vals))
             if not vals[v] < cur:
                 break
@@ -351,23 +330,11 @@ def refine_local_search(graph: ProximityGraph, start: CutResult,
     return out
 
 
-def _cut_from_din(mask, deg, d_in):
-    # each inside vertex contributes deg - d_in crossing edges
-    return int(np.sum(deg[mask] - d_in[mask]))
-
-
-def _ratio(cut, size, n, scale):
-    bal = min(size, n - size) / n
-    if bal == 0:
-        return np.inf
-    return 2.0 * scale * cut / bal
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def solve_pipeline(graph: ProximityGraph, seed=0, max_passes=10) -> CutResult:
+def solve_pipeline(graph: ProximityGraph, seed=0) -> CutResult:
     """Default estimator: spectral (+ arc) sweep, then local search."""
     t0 = time.perf_counter()
     candidates = []
@@ -383,9 +350,9 @@ def solve_pipeline(graph: ProximityGraph, seed=0, max_passes=10) -> CutResult:
         # spectral failed and no arc structure: fall back to a trivial start
         candidates.append(result_from_subset(graph, [0], solver="fallback",
                                              certificate="Heuristic", elapsed=0.0))
-    refined = [refine_local_search(graph, c, max_passes=max_passes)
-               for c in candidates]
-    refined += candidates
+    # local search returns its start, the same subset and value, or a strictly
+    # lower value, so the starts themselves never win
+    refined = [refine_local_search(graph, c) for c in candidates]
     best = min(refined, key=lambda r: (r.objective_value, _subset_key(r.subset)))
     return CutResult(subset=best.subset, objective_value=best.objective_value,
                      gtv=best.gtv, balance=best.balance, solver="pipeline",

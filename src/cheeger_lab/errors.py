@@ -13,10 +13,6 @@ class WrongManifold(CheegerLabError):
     pass
 
 
-class DegenerateSubset(CheegerLabError):
-    pass
-
-
 class EigenNotConverged(CheegerLabError):
     def __init__(self, msg, iterations=None, residual=None):
         super().__init__(msg)

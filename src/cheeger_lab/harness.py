@@ -38,6 +38,9 @@ SUMMARY_COLUMNS = ["n", "epsilon", "trial_seed", "cheeger_ratio",
 _SOLVERS = {"pipeline": solve_pipeline, "exact": solve_exact,
             "spectral": solve_spectral_sweep, "arc": solve_arc_sweep}
 
+# quadrature grid size of a trial's L1 cut error, per manifold
+TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
+
 
 @dataclass
 class ExperimentConfig:
@@ -54,19 +57,12 @@ class ExperimentConfig:
     # schedule (eps = 2 n^{-1/2}) cannot meet k_delta = 2/3, since the circle's
     # transport distance is of order n^{-1/2}: delta_n / eps stays near 0.3.
     epsilon_k: float = None
-    log_correction: bool = False     # multiply by log(n)^{1/m}
-    grid_resolution: int = 800
     schedule_meta: dict = field(default_factory=dict)
 
     def epsilon(self, n):
         if self.epsilons is not None:
             return float(self.epsilons[list(self.n_list).index(n)])
-        k = self.epsilon_k
-        eps = self.epsilon_c * float(n) ** (-k)
-        if self.log_correction:
-            m = get_manifold(self.manifold).m
-            eps *= np.log(float(n)) ** (1.0 / m)
-        return float(eps)
+        return float(self.epsilon_c * float(n) ** (-self.epsilon_k))
 
     def bandwidth(self, n):
         """Smoothing bandwidth from the scale trade-off: a = eps^(1/3)."""
@@ -121,9 +117,7 @@ def validate_config(source) -> ExperimentConfig:
         seed=int(raw["seed"]), out=str(raw["out"]), solver=solver,
         epsilons=raw.get("epsilons"),
         epsilon_c=float(raw.get("epsilon_c", 2.0)),
-        epsilon_k=raw.get("epsilon_k"),
-        log_correction=bool(raw.get("log_correction", False)),
-        grid_resolution=int(raw.get("grid_resolution", 800)))
+        epsilon_k=raw.get("epsilon_k"))
     if cfg.epsilon_k is None:
         cfg.epsilon_k = 3.0 / (2.0 + 4.0 * mf.m)
     cfg.schedule_meta = schedule_exponents(mf.m)
@@ -168,8 +162,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     result = solve(graph, cfg.solver, seed)
     ref = continuum_cheeger(mf)
     target = surface_tension(mf.m) * ref.constant
-    grid = build_grid(mf, cfg.grid_resolution if mf.name == "circle"
-                      else (96 if mf.name == "flat_torus_2" else 4000))
+    grid = build_grid(mf, TRIAL_GRID[mf.name])
     err = cut_l1_error(result, cloud, ref, grid=grid)
     # exact transport distance on the circle; unmeasured elsewhere, where the
     # covering radius sup_displacement is only a lower bound on it
@@ -188,7 +181,6 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
         "discrete_cut_error": float(err.discrete_error),
         "sup_displacement": float(err.sup_displacement),
         "transport_delta": transport_delta, "kappa": kappa,
-        "theta_measured": False,
         "method": cfg.solver, "certificate": result.certificate,
         "elapsed_sec": float(result.elapsed),
     }
@@ -287,9 +279,8 @@ def _write_summary(path, records):
 
 def _write_rates(path, cfg, records):
     mf = get_manifold(cfg.manifold)
-    out = {"schedule": cfg.schedule_meta, "epsilon_rule":
-           {"c": cfg.epsilon_c, "k": cfg.epsilon_k,
-            "log_correction": cfg.log_correction},
+    out = {"schedule": cfg.schedule_meta,
+           "epsilon_rule": {"c": cfg.epsilon_c, "k": cfg.epsilon_k},
            "n_failed": {str(n): sum(1 for r in records if r["n"] == n and r.get("failed"))
                         for n in cfg.n_list}}
     for key in ("abs_error", "l1_cut_error"):
@@ -324,14 +315,10 @@ def emit_plot_data(summary_path, kind, out_dir) -> dict:
     for r in rows:
         by_n.setdefault(int(r["n"]), []).append(float(r[column]))
     ns = sorted(by_n)
-    if kind == "concentration":
-        ys = [float(np.mean(by_n[n])) for n in ns]
-        sig = [float(np.std(by_n[n], ddof=1)) if len(by_n[n]) > 1 else 0.0
-               for n in ns]
-    else:
-        ys = [float(np.median(by_n[n])) for n in ns]
-        sig = [float(np.std(by_n[n], ddof=1)) if len(by_n[n]) > 1 else 0.0
-               for n in ns]
+    centre = np.mean if kind == "concentration" else np.median
+    ys = [float(centre(by_n[n])) for n in ns]
+    sig = [float(np.std(by_n[n], ddof=1)) if len(by_n[n]) > 1 else 0.0
+           for n in ns]
     tsv = out_dir / f"{kind}.tsv"
     with open(tsv, "w") as fh:
         fh.write("x\ty\tsigma\n")

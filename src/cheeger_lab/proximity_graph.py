@@ -7,6 +7,8 @@ function u is
     GTV(u) = (1 / (n^2 eps^{m+1})) * sum_{i,j} w_ij |u_i - u_j|,
 
 with w_ij in {0,1}; for a set indicator this equals 2*Cut/(n^2 eps^{m+1}).
+The only cut objective is the Cheeger ratio GTV(1_A) / (min(|A|, n - |A|) / n),
+computed by ``cheeger_ratio``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
-
-from .errors import DegenerateSubset
-
-CHEEGER_RATIO = "cheeger"
-RATIO_CUT = "ratio"
-MODULARITY = "modularity"
 
 
 @dataclass
@@ -149,33 +145,31 @@ def cut_size(graph: ProximityGraph, subset) -> int:
     return int(np.count_nonzero(mask[graph.edges[:, 0]] ^ mask[graph.edges[:, 1]]))
 
 
+def _balance(size, n):
+    """min(|A|, n - |A|) / n, elementwise."""
+    return np.minimum(size, n - size) / n
+
+
+def cheeger_ratio(cut, size, n, rescale):
+    """2 * rescale * Cut / balance, elementwise; +inf where a side is empty."""
+    bal = _balance(size, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 2.0 * rescale * cut / bal
+    return np.where(bal > 0, val, np.inf)[()]
+
+
 def cut_and_balance(graph: ProximityGraph, subset):
-    """(GTV of the subset indicator, min(|A|/n, 1-|A|/n))."""
+    """(GTV of the subset indicator, min(|A|, n - |A|) / n)."""
     mask = _as_mask(graph.n, subset)
-    cut = cut_size(graph, mask)
-    g = 2.0 * graph.rescale * cut
-    frac = mask.sum() / graph.n
-    return g, float(min(frac, 1.0 - frac))
+    g = 2.0 * graph.rescale * cut_size(graph, mask)
+    return g, float(_balance(int(mask.sum()), graph.n))
 
 
-def objective(graph: ProximityGraph, subset, kind=CHEEGER_RATIO, gamma=1.0,
-              strict=False) -> float:
-    """Balanced-cut objective value; +inf for degenerate ratio denominators."""
+def objective(graph: ProximityGraph, subset) -> float:
+    """Cheeger ratio of a vertex subset; +inf for the empty and the full set."""
     mask = _as_mask(graph.n, subset)
-    g, bal = cut_and_balance(graph, mask)
-    frac = mask.sum() / graph.n
-    if kind == MODULARITY:
-        return g + gamma * (frac ** 2 + (1.0 - frac) ** 2)
-    degenerate = frac in (0.0, 1.0)
-    if degenerate:
-        if strict:
-            raise DegenerateSubset("empty or full subset under a ratio objective")
-        return math.inf
-    if kind == CHEEGER_RATIO:
-        return g / bal
-    if kind == RATIO_CUT:
-        return g / (frac * (1.0 - frac))
-    raise ValueError(f"unknown objective kind {kind!r}")
+    return float(cheeger_ratio(cut_size(graph, mask), int(mask.sum()), graph.n,
+                               graph.rescale))
 
 
 def _as_mask(n, subset):

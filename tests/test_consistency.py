@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cheeger_lab.consistency import (TransportSurrogate,
                                      circle_transport_delta, cut_l1_error,
@@ -54,6 +55,71 @@ def test_transport_single_point_and_ties():
     mid = CIRCLE.to_ambient(np.array([0.125]))
     sur2 = transport_assign(cloud2, mid)
     assert sur2.assignment[0] == 0
+
+
+@pytest.mark.parametrize("mf", [CIRCLE, TORUS, SPHERE], ids=lambda m: m.name)
+def test_transport_equidistant_node_goes_to_smaller_index(mf):
+    # the node is exactly halfway between samples a and b; in every storage
+    # order the smaller of their two indices wins
+    if mf is SPHERE:
+        a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+        node = mf.to_ambient(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0]))
+        far = np.array([0.0, 0.0, -1.0])
+    elif mf is TORUS:
+        a, b, node, far = (np.array([0.25, 0.5]), np.array([0.75, 0.5]),
+                           mf.to_ambient(np.array([0.0, 0.5])), np.array([0.5, 0.0]))
+    else:
+        a, b, node, far = 0.25, 0.75, mf.to_ambient(np.array([0.0])), 0.5
+    for order in ([a, b, far], [b, far, a], [far, b, a]):
+        cloud = PointCloud(points=mf.to_ambient(np.array(order)), seed=0, manifold=mf)
+        sur = transport_assign(cloud, np.atleast_2d(node))
+        d = mf.geodesic_distance(np.atleast_2d(node), cloud.points)
+        tied = np.flatnonzero(np.abs(d - d.min()) <= 1e-12)
+        assert len(tied) == 2
+        assert sur.assignment[0] == tied.min()
+
+
+@pytest.mark.parametrize("mf", [CIRCLE, TORUS], ids=lambda m: m.name)
+def test_transport_sample_whose_coordinate_wraps_to_one(mf):
+    # np.mod(-1e-17, 1.0) == 1.0, outside the periodic box of the tree
+    t = (np.array([-1e-17, 0.5]) if mf is CIRCLE
+         else np.array([[-1e-17, 0.5], [0.5, 0.5]]))
+    cloud = PointCloud(points=mf.to_ambient(t), seed=0, manifold=mf)
+    assert (mf.to_intrinsic(cloud.points) == 1.0).any()
+    node = mf.to_ambient(t[0] + 0.01)
+    assert transport_assign(cloud, np.atleast_2d(node)).assignment[0] == 0
+
+
+def _transport_assign_loop(cloud, pts):
+    """The per-node reference: chord-nearest sample, then every sample in the
+    chord ball of that geodesic radius, ties within 1e-12 to the smallest index."""
+    mf, samples = cloud.manifold, cloud.points
+    tree = cKDTree(samples)
+    _, idx0 = tree.query(pts)
+    best = mf.geodesic_distance(pts, samples[idx0])
+    assignment = idx0.copy()
+    for k, cand in enumerate(tree.query_ball_point(pts, np.maximum(best, 1e-15))):
+        if len(cand) <= 1:
+            continue
+        cand = np.asarray(cand, dtype=int)
+        d = np.atleast_1d(mf.geodesic_distance(pts[k][None, :], samples[cand]))
+        w = int(cand[d <= d.min() + 1e-12].min())
+        if d.min() < best[k] - 1e-15 or (abs(d.min() - best[k]) <= 1e-12
+                                         and w < assignment[k]):
+            assignment[k], best[k] = w, d.min()
+    return assignment, float(best.max())
+
+
+@pytest.mark.parametrize("mf,res", [(CIRCLE, 800), (TORUS, 48), (SPHERE, 1000)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_transport_matches_per_node_reference(mf, res):
+    grid = build_grid(mf, res)
+    for seed in range(3):
+        cloud = mf.sample(300, seed=seed)
+        sur = transport_assign(cloud, grid)
+        assignment, sup = _transport_assign_loop(cloud, grid.nodes)
+        assert np.array_equal(sur.assignment, assignment)
+        assert sur.sup_displacement == sup
 
 
 def test_transport_random_cloud_spacing_bound():

@@ -3,8 +3,7 @@ import pytest
 
 from cheeger_lab.errors import SizeLimitExceeded, WrongManifold
 from cheeger_lab.manifold import PointCloud, get_manifold
-from cheeger_lab.proximity_graph import (CHEEGER_RATIO, MODULARITY, RATIO_CUT,
-                                         build_graph, objective)
+from cheeger_lab.proximity_graph import build_graph, objective
 from cheeger_lab.cut_solvers import (refine_local_search, solve_arc_sweep,
                                      solve_exact, solve_pipeline,
                                      solve_spectral_sweep)
@@ -27,20 +26,19 @@ def planted_two_arcs(n_half, seed, gap=0.2):
 def test_exact_three_points():
     g = build_graph(np.array([[0.0], [0.5], [1.0]]), 0.6, m=1)
     res = solve_exact(g)
-    # both boundary cuts tie at 2/(9*0.36)/(1/3); canonical side contains 0
+    # both boundary cuts tie at 2/(9*0.36)/(1/3); of the canonical sides
+    # [0] and [0, 1] the lexicographically smaller one wins
     assert res.objective_value == pytest.approx(2.0 / (9 * 0.36) / (1 / 3))
     assert res.certificate == "GlobalOptimum"
-    assert 0 in res.subset
+    assert res.subset.tolist() == [0]
 
 
 def test_exact_limits_and_recompute_consistency():
     mf = get_manifold("circle")
     cloud = mf.sample(14, seed=3)
     g = build_graph(cloud, 0.25)
-    for kind in (CHEEGER_RATIO, RATIO_CUT, MODULARITY):
-        res = solve_exact(g, kind=kind)
-        assert res.objective_value == pytest.approx(
-            objective(g, res.subset, kind=kind), abs=1e-12)
+    res = solve_exact(g)
+    assert res.objective_value == pytest.approx(objective(g, res.subset), abs=1e-12)
     big = build_graph(mf.sample(25, seed=0), 0.2)
     with pytest.raises(SizeLimitExceeded):
         solve_exact(big)

@@ -32,9 +32,11 @@ def test_validate_config_defaults():
 def test_validate_config_collects_errors():
     with pytest.raises(ConfigError) as exc:
         validate_config({"manifold": "moebius", "trials": 0,
-                         "objective": "cheeger"})
+                         "objective": "cheeger", "log_correction": True,
+                         "grid_resolution": 400})
     msgs = " | ".join(exc.value.errors)
-    assert "unknown config key 'objective'" in msgs
+    for key in ("objective", "log_correction", "grid_resolution"):
+        assert f"unknown config key {key!r}" in msgs
     assert "n_list required" in msgs
     assert "trials" in msgs
     assert "unknown manifold" in msgs

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheeger_lab.manifold import get_manifold
-from cheeger_lab.proximity_graph import (CHEEGER_RATIO, MODULARITY, RATIO_CUT,
-                                         ProximityGraph, build_graph,
+from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                          cut_and_balance, cut_size, gtv,
                                          objective)
-from cheeger_lab.errors import DegenerateSubset
 
 
 def brute_edges(points, eps):
@@ -99,22 +97,23 @@ def test_objective_variants_and_degenerate():
     pts = np.array([[0.0], [0.3], [0.6], [0.9]])
     g = build_graph(pts, 0.35, m=1)
     full = np.arange(4)
-    assert objective(g, full, kind=CHEEGER_RATIO) == np.inf
-    assert objective(g, [], kind=RATIO_CUT) == np.inf
-    with pytest.raises(DegenerateSubset):
-        objective(g, full, kind=CHEEGER_RATIO, strict=True)
-    # modularity well-defined on improper subsets
-    assert np.isfinite(objective(g, full, kind=MODULARITY, gamma=1.0))
-    val = objective(g, [0, 1], kind=MODULARITY, gamma=2.0)
-    gval, _ = cut_and_balance(g, [0, 1])
-    assert val == pytest.approx(gval + 2.0 * (0.25 + 0.25))
+    assert objective(g, full) == np.inf
+    assert objective(g, []) == np.inf
 
 
-def test_ratio_cut_denominator():
-    pts = np.array([[0.0], [0.3], [0.6], [0.9]])
-    g = build_graph(pts, 0.35, m=1)
-    gval, _ = cut_and_balance(g, [0])
-    assert objective(g, [0], kind=RATIO_CUT) == pytest.approx(gval / (0.25 * 0.75))
+def test_objective_of_complement_is_bit_equal():
+    # the balance min(k/n, 1 - k/n) scores [0] and [1, 2] differently in the
+    # last bit; min(k, n - k)/n is the same number for k and n - k
+    path = build_graph(np.array([[0.0], [0.5], [1.0]]), 0.6, m=1)
+    assert objective(path, [0]) == objective(path, [1, 2])
+    rng = np.random.default_rng(5)
+    for name, n, eps in (("circle", 97, 0.1), ("flat_torus_2", 83, 0.3),
+                         ("sphere_2", 71, 0.3)):
+        g = build_graph(get_manifold(name).sample(n, seed=11), eps)
+        for k in range(1, n):
+            mask = np.zeros(n, dtype=bool)
+            mask[rng.choice(n, size=k, replace=False)] = True
+            assert objective(g, mask) == objective(g, ~mask), (name, k)
 
 
 def test_empty_and_zero_epsilon():
