@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigenNotConverged, SizeLimitExceeded, WrongManifold
 from .manifold import Circle
@@ -34,6 +35,7 @@ EXACT_LIMIT = 24
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 10_000
 LOCAL_SEARCH_PASSES = 10
+ARC_BLOCK = 1 << 16  # int64 elements per block of the arc sweep's window scan
 
 
 @dataclass
@@ -150,7 +152,19 @@ def _lex_min_id(ids, n):
 # ---------------------------------------------------------------------------
 
 def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
-    """Exact Cheeger optimum over contiguous arcs of the angular order."""
+    """Exact Cheeger optimum over contiguous arcs of the angular order.
+
+    Every arc of length k has the same balance, and the integer cuts keep
+    their order under the positive factor, so each k keeps its least cut
+    (first start on ties) and the best ratio over k wins. Growing the arcs
+    that start at s by the vertex u at s + k adds deg(u) minus twice its
+    neighbours inside the arc: min(lccw(u), k) behind it plus the forward
+    neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). For
+    max lccw <= k <= n - 1 - max rcw both terms are fixed, so
+    cut_k(s) = base(s) + Q[s + k] with Q the prefix sum of rcw - lccw along
+    the doubled order; that middle range is scanned in windows, the lengths
+    below and above it step the recurrence.
+    """
     t0 = time.perf_counter()
     if graph.cloud is None or not isinstance(graph.cloud.manifold, Circle):
         raise WrongManifold("arc sweep requires a graph built on a Circle cloud")
@@ -167,33 +181,44 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     if len(graph.edges):
         i, j = graph.edges[:, 0], graph.edges[:, 1]
         g = np.mod(t[j] - t[i], 1.0)
-        tie = g == 0.5
-        fwd = (g < 0.5) | (tie & (i < j))
-        np.add.at(rcw, i[fwd], 1)
-        np.add.at(lccw, j[fwd], 1)
-        np.add.at(rcw, j[~fwd], 1)
-        np.add.at(lccw, i[~fwd], 1)
-    deg = lccw + rcw
-    deg_s = deg[order]
-    lccw_s = lccw[order]
-    rcw_s = rcw[order]
+        fwd = (g < 0.5) | ((g == 0.5) & (i < j))
+        head = np.where(fwd, j, i)  # the endpoint ahead of the other
+        lccw = np.bincount(head, minlength=n)
+        rcw = np.bincount(i + j - head, minlength=n)
+    # positions s + k of the doubled angular order need no modulo
+    lc = np.tile(lccw[order], 2)
+    rc = np.tile(rcw[order], 2)
 
-    cut = deg_s.astype(np.float64).copy()  # arcs of length 1 starting at s
-    # every arc of length k has the same balance, and the integer-valued cuts
-    # keep their order under the positive factor: keep each k's least cut
     start = np.empty(n - 1, dtype=np.int64)
-    least = np.empty(n - 1)
-    for k in range(1, n):
-        s = int(np.argmin(cut))
-        start[k - 1], least[k - 1] = s, cut[s]
+    least = np.empty(n - 1, dtype=np.int64)
+    mid_lo = max(int(lccw.max()), 1)
+    mid_hi = n - 1 - int(rcw.max())
+    if mid_lo > mid_hi:
+        mid_lo = n  # no middle range: the recurrence covers every length
+    k, cut = 1, lc[:n] + rc[:n]  # arcs of length 1 starting at s
+    while True:
+        if k == mid_lo:
+            q = np.concatenate([[0], np.cumsum(rc - lc)])
+            base = cut - q[k:k + n]
+            windows = sliding_window_view(q, n)
+            rows = max(1, ARC_BLOCK // n)
+            for lo in range(mid_lo, mid_hi + 1, rows):
+                hi = min(lo + rows, mid_hi + 1)
+                block = base + windows[lo:hi]
+                s = np.argmin(block, axis=1)
+                start[lo - 1:hi - 1] = s
+                least[lo - 1:hi - 1] = block[np.arange(hi - lo), s]
+            k = mid_hi
+            cut = base + q[k:k + n]
+        else:
+            s = int(np.argmin(cut))
+            start[k - 1], least[k - 1] = s, cut[s]
         if k == n - 1:
             break
-        # extend every arc by the vertex at position s+k
-        dv = np.roll(deg_s, -k)
-        lv = np.roll(lccw_s, -k)
-        rv = np.roll(rcw_s, -k)
-        into = np.minimum(lv, k) + np.maximum(0, k + rv + 1 - n)
-        cut = cut + dv - 2.0 * into
+        # extend every arc by the vertex at position s + k
+        lv, rv = lc[k:k + n], rc[k:k + n]
+        cut = cut + lv + rv - 2 * (np.minimum(lv, k) + np.maximum(0, k + rv + 1 - n))
+        k += 1
     k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, graph.rescale))) + 1
     subset = order[(start[k - 1] + np.arange(k)) % n]
     return result_from_subset(graph, subset, solver="arc_sweep",
@@ -239,10 +264,12 @@ def solve_spectral_sweep(graph: ProximityGraph, seed=0) -> CutResult:
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    ncomp, labels = csgraph.connected_components(graph.adjacency, directed=False)
-    if ncomp > 1:
-        # the component of vertex 0 is a zero-cut split
-        return result_from_subset(graph, np.flatnonzero(labels == labels[0]),
+    # the adjacency is symmetric, so a search from vertex 0 reaches exactly
+    # its component; a proper component is a zero-cut split
+    reached = csgraph.breadth_first_order(graph.adjacency, 0, directed=True,
+                                          return_predecessors=False)
+    if len(reached) < n:
+        return result_from_subset(graph, np.sort(reached),
                                   solver="spectral_sweep", certificate="Heuristic",
                                   elapsed=time.perf_counter() - t0,
                                   extras={"disconnected": True})

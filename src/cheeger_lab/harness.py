@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -37,6 +38,10 @@ SUMMARY_COLUMNS = ["n", "epsilon", "trial_seed", "cheeger_ratio",
 
 _SOLVERS = {"pipeline": solve_pipeline, "exact": solve_exact,
             "spectral": solve_spectral_sweep, "arc": solve_arc_sweep}
+
+# the timed stages of a trial, in order; their seconds go to the record's stage_s
+STAGES = ("sample", "graph", "solve", "reference", "l1")
+TIMING_FIELDS = ("elapsed_sec", "stage_s")  # left out of the run digest
 
 # quadrature grid size of a trial's L1 cut error, per manifold
 TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
@@ -157,23 +162,30 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     mf = get_manifold(cfg.manifold)
     seed = trial_seed(cfg.seed, n, trial)
     eps = cfg.epsilon(n)
+    marks = [time.perf_counter()]
     cloud = mf.sample(n, seed=seed)
+    marks.append(time.perf_counter())
     graph = build_graph(cloud, eps)
+    marks.append(time.perf_counter())
     result = solve(graph, cfg.solver, seed)
+    marks.append(time.perf_counter())
     ref = continuum_cheeger(mf)
     target = surface_tension(mf.m) * ref.constant
-    grid = build_grid(mf, TRIAL_GRID[mf.name])
-    err = cut_l1_error(result, cloud, ref, grid=grid)
     # exact transport distance on the circle; unmeasured elsewhere, where the
     # covering radius sup_displacement is only a lower bound on it
     transport_delta = (circle_transport_delta(cloud)
                        if isinstance(mf, Circle) else None)
+    marks.append(time.perf_counter())
+    grid = build_grid(mf, TRIAL_GRID[mf.name])
+    err = cut_l1_error(result, cloud, ref, grid=grid)
+    marks.append(time.perf_counter())
     # the density-fluctuation term of kappa is unmeasured
     kappa = (None if transport_delta is None
              else eps ** (1.0 / 6.0) + transport_delta / eps)
     rec = {
         "config_hash": config_hash(cfg), "n": int(n), "trial": int(trial),
         "epsilon": eps, "a": cfg.bandwidth(n), "trial_seed": int(seed),
+        "n_edges": len(graph.edges),
         "cheeger_ratio": float(result.objective_value),
         "continuum_ref": float(target),
         "abs_error": abs(float(result.objective_value) - float(target)),
@@ -183,6 +195,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
         "transport_delta": transport_delta, "kappa": kappa,
         "method": cfg.solver, "certificate": result.certificate,
         "elapsed_sec": float(result.elapsed),
+        "stage_s": {name: b - a for name, a, b in zip(STAGES, marks, marks[1:])},
     }
     return rec
 
@@ -260,7 +273,7 @@ def run_digest(records):
     """Hash of the records with timing fields removed."""
     canon = []
     for r in sorted(records, key=lambda r: (r["n"], r["trial"])):
-        r = {k: v for k, v in r.items() if k != "elapsed_sec"}
+        r = {k: v for k, v in r.items() if k not in TIMING_FIELDS}
         canon.append(json.dumps(r, sort_keys=True))
     return hashlib.sha256("\n".join(canon).encode()).hexdigest()
 

@@ -181,9 +181,30 @@ def _torus_offset_weights(n, h):
     return offs[keep], out[keep]
 
 
+@lru_cache(maxsize=32)
+def _torus_offset_pairs(n, h):
+    """Offsets with (p, q) and (-p, -q) folded into one, their weights summed.
+
+    Both give the same sum of |v - roll(v)| over the lattice, so one roll
+    serves the pair; an offset whose mirror has no weight stays alone.
+    """
+    offs, wts = _torus_offset_weights(n, h)
+    index = {(int(p), int(q)): i for i, (p, q) in enumerate(offs)}
+    keep, folded = [], []
+    for i, (p, q) in enumerate(offs):
+        j = index.get((-int(p), -int(q)))
+        if j is None:
+            keep.append(i)
+            folded.append(wts[i])
+        elif i < j:
+            keep.append(i)
+            folded.append(wts[i] + wts[j])
+    return offs[keep], np.array(folded)
+
+
 def _tvh_torus(values, h, n):
     s = 1.0 / n
-    offs, wts = _torus_offset_weights(n, h)
+    offs, wts = _torus_offset_pairs(n, h)
     total = 0.0
     for (p, q), w in zip(offs, wts):
         sraw = np.abs(values - np.roll(values, (-p, -q), axis=(0, 1))).sum()

@@ -151,11 +151,15 @@ def _balance(size, n):
 
 
 def cheeger_ratio(cut, size, n, rescale):
-    """2 * rescale * Cut / balance, elementwise; +inf where a side is empty."""
-    bal = _balance(size, n)
+    """2 * rescale * Cut / balance, elementwise; +inf where a side is empty.
+
+    Evaluated as (2 * rescale * n) * (Cut / min(|A|, n - |A|)): the quotient of
+    two integers is correctly rounded, so equal rationals give equal floats.
+    """
+    side = np.minimum(size, n - size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = 2.0 * rescale * cut / bal
-    return np.where(bal > 0, val, np.inf)[()]
+        val = (2.0 * rescale * n) * (cut / side)
+    return np.where(side > 0, val, np.inf)[()]
 
 
 def cut_and_balance(graph: ProximityGraph, subset):

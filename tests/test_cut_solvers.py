@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 from cheeger_lab.errors import SizeLimitExceeded, WrongManifold
 from cheeger_lab.manifold import PointCloud, get_manifold
-from cheeger_lab.proximity_graph import build_graph, objective
-from cheeger_lab.cut_solvers import (refine_local_search, solve_arc_sweep,
-                                     solve_exact, solve_pipeline,
-                                     solve_spectral_sweep)
+from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
+                                        cheeger_ratio, objective)
+from cheeger_lab.cut_solvers import (canonical_subset, refine_local_search,
+                                     solve_arc_sweep, solve_exact,
+                                     solve_pipeline, solve_spectral_sweep)
 
 
 def grid_circle_cloud(n):
@@ -68,6 +70,78 @@ def test_arc_sweep_matches_exact_random_connected():
     assert hits >= 18  # optimum is an arc in nearly all connected instances
 
 
+def _arc_sweep_reference(g):
+    """The arc sweep as one recurrence step per arc length, with np.roll.
+
+    Returns the canonical subset and the directional window sizes
+    (lccw, rcw) in angular order.
+    """
+    n = g.n
+    t = g.cloud.manifold.to_intrinsic(g.points)
+    order = np.argsort(t, kind="stable")
+    lccw = np.zeros(n, dtype=np.int64)
+    rcw = np.zeros(n, dtype=np.int64)
+    if len(g.edges):
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        gap = np.mod(t[j] - t[i], 1.0)
+        fwd = (gap < 0.5) | ((gap == 0.5) & (i < j))
+        np.add.at(rcw, i[fwd], 1)
+        np.add.at(lccw, j[fwd], 1)
+        np.add.at(rcw, j[~fwd], 1)
+        np.add.at(lccw, i[~fwd], 1)
+    deg_s, lccw_s, rcw_s = (lccw + rcw)[order], lccw[order], rcw[order]
+    cut = deg_s.astype(np.float64)
+    start = np.empty(n - 1, dtype=np.int64)
+    least = np.empty(n - 1)
+    for k in range(1, n):
+        s = int(np.argmin(cut))
+        start[k - 1], least[k - 1] = s, cut[s]
+        if k == n - 1:
+            break
+        lv, rv = np.roll(lccw_s, -k), np.roll(rcw_s, -k)
+        into = np.minimum(lv, k) + np.maximum(0, k + rv + 1 - n)
+        cut = cut + np.roll(deg_s, -k) - 2.0 * into
+    k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, g.rescale))) + 1
+    subset = canonical_subset(n, order[(start[k - 1] + np.arange(k)) % n])
+    return subset, lccw_s, rcw_s
+
+
+def test_arc_sweep_matches_reference_recurrence():
+    mf = get_manifold("circle")
+    rng = np.random.default_rng(2024)
+    kinds = {"no_edges": 0, "empty_middle": 0, "middle": 0, "lattice": 0}
+    for case in range(160):
+        n = int(rng.integers(2, 401))
+        if case % 5 == 0:  # lattices: many arcs with exactly equal cuts
+            cloud = grid_circle_cloud(n)
+            kinds["lattice"] += 1
+        else:
+            cloud = mf.sample(n, seed=case)
+        if case % 8 == 1:
+            eps = 1e-9  # below every spacing: no edges, all lengths in the middle
+        elif case % 8 == 2:
+            eps = 1.2 * mf.radius  # dense: the windows of two vertices overlap
+        else:
+            eps = float(rng.uniform(0.5, 6.0)) * n ** -0.5
+        g = build_graph(cloud, eps)
+        if case % 8 == 3:
+            # thinned edge set: the largest windows no longer sit in the
+            # densest stretch, so the middle range's bounds are exercised
+            keep = rng.random(len(g.edges)) < 0.5
+            g = ProximityGraph(points=g.points, epsilon=eps, m=1,
+                               edges=g.edges[keep], cloud=cloud)
+        ref, lccw, rcw = _arc_sweep_reference(g)
+        if not len(g.edges):
+            kinds["no_edges"] += 1
+        elif lccw.max() > n - 1 - rcw.max():
+            kinds["empty_middle"] += 1
+        else:
+            kinds["middle"] += 1
+        got = solve_arc_sweep(g)
+        assert got.subset.tolist() == ref.tolist(), (case, n, eps)
+    assert min(kinds.values()) >= 15, kinds
+
+
 def test_arc_sweep_requires_circle():
     mf = get_manifold("flat_torus_2")
     g = build_graph(mf.sample(30, seed=0), 0.3)
@@ -83,6 +157,28 @@ def test_spectral_sweep_disconnected_returns_component():
     res = solve_spectral_sweep(g)
     assert res.objective_value == 0.0
     assert res.extras.get("disconnected")
+
+
+def test_spectral_sweep_component_of_vertex_zero():
+    # three far clusters; vertex 0 lies in the middle one
+    pts = np.array([10.0, 0.0, 0.01, 10.01, 20.0, 20.01, 10.02, 0.02, 20.02])
+    g = build_graph(pts[:, None], 0.1, m=1)
+    ncomp, labels = csgraph.connected_components(g.adjacency, directed=False)
+    assert ncomp == 3
+    res = solve_spectral_sweep(g)
+    assert res.subset.tolist() == np.flatnonzero(labels == labels[0]).tolist()
+    assert res.subset.tolist() == [0, 3, 6]
+    assert res.objective_value == 0.0
+
+
+def test_exact_rational_tie_goes_to_smaller_side():
+    # cut 2 against 10 vertices and cut 10 against 6: both ratios are 22
+    # times the same factor; the lexicographically smaller side wins
+    cloud = get_manifold("circle").sample(11, seed=1014)
+    g = build_graph(cloud, 0.24)
+    res = solve_exact(g)
+    assert res.subset.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
+    assert res.objective_value == objective(g, [0, 1, 4, 7, 8, 9])
 
 
 def test_spectral_recovers_planted_clusters():

@@ -8,8 +8,10 @@ import pytest
 from cheeger_lab import cli
 from cheeger_lab.errors import ConfigError, MissingColumns
 from cheeger_lab.harness import (ExperimentConfig, config_hash, emit_plot_data,
-                                 run_experiment, run_trial, trial_seed,
-                                 validate_config)
+                                 run_digest, run_experiment, run_trial,
+                                 trial_seed, validate_config)
+from cheeger_lab.manifold import get_manifold
+from cheeger_lab.proximity_graph import build_graph
 
 
 def small_config(out, **overrides):
@@ -64,6 +66,25 @@ def test_kappa_only_where_transport_delta_is_measured(tmp_path):
                        epsilons=[0.25])
     rec = run_trial(cfg, 150, 0)
     assert rec["transport_delta"] is None and rec["kappa"] is None
+
+
+def test_record_stage_times_and_edge_count(tmp_path):
+    cfg = small_config(tmp_path / "c")
+    rec = run_trial(cfg, 100, 0)
+    assert list(rec["stage_s"]) == ["sample", "graph", "solve", "reference", "l1"]
+    assert all(v >= 0.0 for v in rec["stage_s"].values())
+    mf = get_manifold("circle")
+    g = build_graph(mf.sample(100, seed=rec["trial_seed"]), rec["epsilon"])
+    assert rec["n_edges"] == len(g.edges)
+
+
+def test_digest_ignores_stage_times(tmp_path):
+    records = run_experiment(small_config(tmp_path / "run"))["records"]
+    retimed = [dict(r, stage_s={k: v + 1.0 for k, v in r["stage_s"].items()})
+               for r in records]
+    assert run_digest(retimed) == run_digest(records)
+    assert run_digest([dict(r, n_edges=r["n_edges"] + 1) for r in records]) != \
+        run_digest(records)
 
 
 def test_run_experiment_cardinality_and_rerun(tmp_path):

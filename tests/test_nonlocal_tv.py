@@ -301,6 +301,27 @@ def test_sphere_zonal_tvh_matches_dense_band_sum(h):
         assert tv_nonlocal(f, h, g) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("h", [0.02, 0.05, 0.1])
+def test_torus_folded_offsets_match_full_roll_sum(h):
+    g = grid_for_scale(TORUS, h, 8)
+    n = g.lattice_shape[0]
+    rng = np.random.default_rng(3)
+    lattices = [rng.standard_normal((n, n)),
+                indicator_function(TorusStrip(TORUS, axis=1, offset=0.3))(
+                    g.nodes).reshape(n, n)]
+    offs, wts = nonlocal_tv._torus_offset_weights(n, h)
+    folded, _ = nonlocal_tv._torus_offset_pairs(n, h)
+    assert len(folded) < len(offs)
+    # every offset is rolled itself or through its mirror
+    covered = {(p, q) for p, q in folded.tolist()} | {(-p, -q) for p, q in folded.tolist()}
+    assert covered >= {(p, q) for p, q in offs.tolist()}
+    for v in lattices:
+        full = sum((1.0 / n) ** 2 * np.abs(v - np.roll(v, (-p, -q), axis=(0, 1))).sum() * w
+                   for (p, q), w in zip(offs, wts)) / h ** 3
+        assert full > 0
+        assert nonlocal_tv._tvh_torus(v, h, n) == pytest.approx(full, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
 def test_smooth_blocks_change_nothing(monkeypatch, name):
     mf = get_manifold(name)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from cheeger_lab.manifold import get_manifold
 from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
-                                         cut_and_balance, cut_size, gtv,
-                                         objective)
+                                         cheeger_ratio, cut_and_balance,
+                                         cut_size, gtv, objective)
 
 
 def brute_edges(points, eps):
@@ -114,6 +114,26 @@ def test_objective_of_complement_is_bit_equal():
             mask = np.zeros(n, dtype=bool)
             mask[rng.choice(n, size=k, replace=False)] = True
             assert objective(g, mask) == objective(g, ~mask), (name, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10_000), st.integers(min_value=0, max_value=2**31),
+       st.floats(min_value=1e-6, max_value=1e6))
+def test_equal_rational_ratios_are_bit_equal(n, seed, rescale):
+    # cut_a / m_a == cut_b / m_b as rationals, with m = min(|A|, n - |A|)
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    q = int(rng.integers(1, half + 1))
+    a, b = (int(x) for x in rng.integers(1, half // q + 1, size=2))
+    p = int(rng.integers(0, 50 * n))
+    size_a = q * a if rng.random() < 0.5 else n - q * a  # either side
+    size_b = q * b if rng.random() < 0.5 else n - q * b
+    assert p * a * (q * b) == p * b * (q * a)
+    ra = cheeger_ratio(p * a, size_a, n, rescale)
+    rb = cheeger_ratio(p * b, size_b, n, rescale)
+    assert ra == rb
+    vec = cheeger_ratio(np.array([p * a, p * b]), np.array([size_a, size_b]), n, rescale)
+    assert vec[0] == vec[1] == ra
 
 
 def test_empty_and_zero_epsilon():
