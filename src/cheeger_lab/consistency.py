@@ -249,9 +249,9 @@ def fix_mass(indicator, volume, target_mass, manifold,
     """Adjust a set's volume to ``target_mass`` by a disjoint/contained ball.
 
     ``indicator`` is a callable on ambient points; ``volume`` its known
-    volume. The ball radius is found by bisection on the closed-form ball
-    volume to 1e-6, so the output volume bookkeeping is exact to that
-    tolerance and the moved volume equals the correction.
+    volume. The ball radius is the manifold's closed-form
+    ``ball_radius_for_volume``, so the output volume bookkeeping is exact and
+    the moved volume equals the correction.
     """
     if not 0.0 < target_mass < 1.0:
         raise InfeasibleMass(f"target mass {target_mass} outside (0, 1)")
@@ -261,7 +261,10 @@ def fix_mass(indicator, volume, target_mass, manifold,
         f = ContinuumFunction(evaluator=lambda p: np.asarray(ind(p), float), bound=1.0)
         return AdjustedSet(indicator=f, volume=volume, symmetric_difference=0.0,
                            perimeter_increment=0.0, radius=0.0)
-    r = _radius_by_bisection(manifold, abs(dv))
+    try:
+        r = manifold.ball_radius_for_volume(abs(dv))
+    except ValueError as exc:  # no geodesic ball has that volume
+        raise InfeasibleMass(f"correction {abs(dv):.6g}: {exc}") from exc
     adding = dv > 0
     center = _ball_site(ind, manifold, grid, r, exterior=adding)
     if center is None:
@@ -278,29 +281,6 @@ def fix_mass(indicator, volume, target_mass, manifold,
                        symmetric_difference=abs(dv),
                        perimeter_increment=float(perim), radius=float(r),
                        center=center)
-
-
-def _radius_by_bisection(manifold, vol, tol=1e-6):
-    if isinstance(manifold, Circle):
-        rmax = 0.5
-    elif isinstance(manifold, FlatTorus2):
-        rmax = 0.5
-        if vol > manifold.ball_volume(0.5) - tol:
-            raise InfeasibleMass("correction too large for a disjoint torus disk")
-    else:
-        rmax = np.pi * manifold.radius
-    if manifold.ball_volume(rmax) < vol - tol:
-        raise InfeasibleMass("correction exceeds the largest available ball")
-    lo, hi = 0.0, rmax
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if manifold.ball_volume(mid) < vol:
-            lo = mid
-        else:
-            hi = mid
-        if abs(manifold.ball_volume(hi) - vol) < tol * 1e-3:
-            break
-    return hi
 
 
 def _ball_site(ind, manifold, grid, r, exterior):
@@ -320,7 +300,8 @@ def _ball_site(ind, manifold, grid, r, exterior):
     dist, _ = opp_tree.query(grid.nodes[cand])
     order = cand[np.argsort(-dist, kind="stable")]
     node_tree = cKDTree(grid.nodes)
-    chord = _chord_for_geodesic(manifold, r)
+    # chord <= geodesic on the flat manifolds
+    chord = manifold.chord(r) if isinstance(manifold, Sphere2) else r
     for i in order[:64]:
         near = node_tree.query_ball_point(grid.nodes[i], chord * 1.0000001)
         near = np.asarray(near, dtype=int)
@@ -357,15 +338,12 @@ def _ball_site_circle(fvals, manifold, grid, r, exterior):
     return None
 
 
-def _chord_for_geodesic(manifold, r):
-    if isinstance(manifold, Sphere2):
-        return 2.0 * manifold.radius * np.sin(min(r / manifold.radius, np.pi) / 2.0)
-    return r  # chord <= geodesic on the flat manifolds
-
-
 # ---------------------------------------------------------------------------
 # U-statistic concentration
 # ---------------------------------------------------------------------------
+
+ZETA_GRID = (0.0, 0.25, 0.5, 1.0)  # exceedance levels above the bias bound
+
 
 @dataclass
 class UStatReport:
@@ -378,7 +356,7 @@ class UStatReport:
 
 
 def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
-                        trials, seed, zeta_grid=(0.0, 0.25, 0.5, 1.0)) -> UStatReport:
+                        trials, seed) -> UStatReport:
     """Mean/std/exceedance of GTV of a fixed function over random clouds."""
     if f.tv_exact is None:
         raise ValueError("requires a function with known total variation")
@@ -394,7 +372,7 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
             graph = build_graph(cloud, eps)
             vals[t] = gtv(graph, f(cloud.points))
         bound0 = sigma * tv * (1.0 + 10.0 * eps * eps)
-        exceed = {float(z): float(np.mean(vals > bound0 + z)) for z in zeta_grid}
+        exceed = {float(z): float(np.mean(vals > bound0 + z)) for z in ZETA_GRID}
         rep.entries.append({"n": int(n), "epsilon": eps,
                             "mean": float(vals.mean()),
                             "std": float(vals.std(ddof=1)),
@@ -438,7 +416,6 @@ class RateReport:
     slope_ci: tuple
     per_n_median: dict
     n_values: list
-    intercept: float = 0.0
 
     def as_dict(self):
         return {"schedule": self.schedule, "fitted_slope": self.fitted_slope,
@@ -447,7 +424,23 @@ class RateReport:
                 "n_values": [int(n) for n in self.n_values]}
 
 
-def fit_rate(records, m=1, seed=0, n_boot=1000, min_trials=5) -> RateReport:
+def loglog_fit(x, y):
+    """Least-squares (slope, intercept) of log y against log x.
+
+    ``y`` is (len(x),) or (len(x), k), one fit per column; it is floored at
+    1e-300 before the log.
+    """
+    lx = np.log(np.asarray(x, dtype=float))
+    A = np.stack([lx, np.ones_like(lx)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, np.log(np.maximum(y, 1e-300)), rcond=None)
+    return coef
+
+
+N_BOOT = 1000     # bootstrap resamples of the slope CI
+MIN_TRIALS = 5    # errors per n that a rate fit needs
+
+
+def fit_rate(records, m=1, seed=0) -> RateReport:
     """OLS slope of log median error vs log n, with a seeded bootstrap CI.
 
     ``records``: mapping n -> list of nonnegative errors.
@@ -456,59 +449,47 @@ def fit_rate(records, m=1, seed=0, n_boot=1000, min_trials=5) -> RateReport:
     ns = sorted(records)
     if len(ns) < 3:
         raise InsufficientData("need at least 3 distinct n values")
-    if any(len(records[n]) < min_trials for n in ns):
-        raise InsufficientData(f"need at least {min_trials} trials per n")
-    floor = 1e-300
-
-    def slope_of(meds):
-        """Slopes and intercepts; ``meds`` is (len(ns),) or (len(ns), k)."""
-        x = np.log(np.asarray(ns, dtype=float))
-        y = np.log(np.maximum(meds, floor))
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return coef[0], coef[1]
-
-    meds = np.array([np.median(records[n]) for n in ns])
-    slope, intercept = slope_of(meds)
+    if any(len(records[n]) < MIN_TRIALS for n in ns):
+        raise InsufficientData(f"need at least {MIN_TRIALS} trials per n")
+    meds = [float(np.median(records[n])) for n in ns]
+    slope = loglog_fit(ns, meds)[0]
     # resample indices in the (draw, n) order of rng.choice, then take every
     # bootstrap median and slope at once
     rng = np.random.default_rng(seed)
-    idx = {n: np.empty((n_boot, len(records[n])), dtype=np.int64) for n in ns}
-    for b in range(n_boot):
+    idx = {n: np.empty((N_BOOT, len(records[n])), dtype=np.int64) for n in ns}
+    for b in range(N_BOOT):
         for n in ns:
             idx[n][b] = rng.integers(0, len(records[n]), size=len(records[n]))
-    boot = slope_of(np.stack([np.median(records[n][idx[n]], axis=1) for n in ns]))[0]
+    boot_meds = np.stack([np.median(records[n][idx[n]], axis=1) for n in ns])
+    boot = loglog_fit(ns, boot_meds)[0]
     ci = (float(np.percentile(boot, 5)), float(np.percentile(boot, 95)))
     return RateReport(schedule=schedule_exponents(m), fitted_slope=float(slope),
-                      slope_ci=ci,
-                      per_n_median={n: float(np.median(records[n])) for n in ns},
-                      n_values=ns, intercept=float(intercept))
+                      slope_ci=ci, per_n_median=dict(zip(ns, meds)), n_values=ns)
 
 
 # ---------------------------------------------------------------------------
 # Stability-exponent construction (perturbed strips)
 # ---------------------------------------------------------------------------
 
-def perturbed_strip_excess(t, bump_width=0.45):
+BUMP_WIDTH = 0.45  # tent width; two opposite tents fit in the unit period
+
+
+def perturbed_strip_excess(t):
     """Perimeter excess of a strip whose boundary is a volume-preserving
     piecewise-linear double tent of L1 size t.
 
-    Two opposite tents of width ``bump_width`` and slope s carry L1 mass
-    s * bump_width^2 / 2, so s = 2 t / bump_width^2, and the boundary-length
+    Two opposite tents of width ``BUMP_WIDTH`` and slope s carry L1 mass
+    s * BUMP_WIDTH^2 / 2, so s = 2 t / BUMP_WIDTH^2, and the boundary-length
     excess is the integral of sqrt(1 + g'^2) - 1 over the tent supports.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or 2.0 * bump_width > 1.0:
-        raise ValueError("need t >= 0 and two tents fitting in the period")
-    s = 2.0 * t / bump_width ** 2
-    return 2.0 * bump_width * (np.sqrt(1.0 + s * s) - 1.0)
+    if np.any(t < 0):
+        raise ValueError("need t >= 0")
+    s = 2.0 * t / BUMP_WIDTH ** 2
+    return 2.0 * BUMP_WIDTH * (np.sqrt(1.0 + s * s) - 1.0)
 
 
-def stability_exponent(t_list=(0.02, 0.05, 0.1), bump_width=0.45):
+def stability_exponent(t_list=(0.02, 0.05, 0.1)):
     """Fitted log-log slope of the perimeter excess vs perturbation size."""
-    t = np.asarray(t_list, dtype=float)
-    ex = perturbed_strip_excess(t, bump_width)
-    x, y = np.log(t), np.log(ex)
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), ex
+    ex = perturbed_strip_excess(t_list)
+    return float(loglog_fit(t_list, ex)[0]), ex

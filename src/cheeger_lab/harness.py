@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import (circle_transport_delta, cut_l1_error, fit_rate,
-                          schedule_exponents)
+                          loglog_fit, schedule_exponents)
 from .cut_solvers import (solve_arc_sweep, solve_exact, solve_pipeline,
                           solve_spectral_sweep)
 from .errors import ConfigError, MissingColumns
@@ -41,10 +43,13 @@ _SOLVERS = {"pipeline": solve_pipeline, "exact": solve_exact,
 
 # the timed stages of a trial, in order; their seconds go to the record's stage_s
 STAGES = ("sample", "graph", "solve", "reference", "l1")
-TIMING_FIELDS = ("elapsed_sec", "stage_s")  # left out of the run digest
+# left out of the run digest: timings, and tracebacks (paths and line numbers)
+UNDIGESTED = ("elapsed_sec", "stage_s", "traceback")
 
 # quadrature grid size of a trial's L1 cut error, per manifold
 TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
+
+SVG_SIZE = (480, 360)  # width and height of the log-log plot, in pixels
 
 
 @dataclass
@@ -98,41 +103,55 @@ def validate_config(source) -> ExperimentConfig:
             mf = get_manifold(name)
         except ValueError as exc:
             errors.append(str(exc))
-    n_list = raw.get("n_list")
-    if not n_list:
+
+    def parse(key, kind, default=None):
+        """``kind(raw[key])``; None, and an error, when it does not parse."""
+        value = raw.get(key, default)
+        try:
+            return None if value is None else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            errors.append(f"{key} must be numeric, got {value!r}")
+
+    n_list = parse("n_list", lambda v: [int(n) for n in v])
+    if not raw.get("n_list"):
         errors.append("n_list required")
-    else:
-        bad = [n for n in n_list if int(n) < 8]
+    elif n_list:
+        bad = [n for n in n_list if n < 8]
         if bad:
             errors.append(f"all n must be >= 8; offending n: {bad}")
-    trials = int(raw.get("trials", 0))
-    if trials < 1:
+    trials = parse("trials", int, 0)
+    if trials is not None and trials < 1:
         errors.append("trials must be >= 1")
     if "seed" not in raw:
         errors.append("seed required")
+    seed = parse("seed", int)
     if not raw.get("out"):
         errors.append("out (output directory) required")
     solver = raw.get("solver", "pipeline")
     if solver not in _SOLVERS:
         errors.append(f"unknown solver {solver!r}; expected one of {sorted(_SOLVERS)}")
+    epsilons = parse("epsilons", lambda v: [float(e) for e in v])
+    epsilon_c = parse("epsilon_c", float, 2.0)
+    epsilon_k = parse("epsilon_k", float)
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(
-        manifold=name, n_list=[int(n) for n in n_list], trials=trials,
-        seed=int(raw["seed"]), out=str(raw["out"]), solver=solver,
-        epsilons=raw.get("epsilons"),
-        epsilon_c=float(raw.get("epsilon_c", 2.0)),
-        epsilon_k=raw.get("epsilon_k"))
+        manifold=name, n_list=n_list, trials=trials, seed=seed, out=str(raw["out"]),
+        solver=solver, epsilons=epsilons, epsilon_c=epsilon_c, epsilon_k=epsilon_k)
     if cfg.epsilon_k is None:
         cfg.epsilon_k = 3.0 / (2.0 + 4.0 * mf.m)
     cfg.schedule_meta = schedule_exponents(mf.m)
     if cfg.epsilons is not None and len(cfg.epsilons) != len(cfg.n_list):
         raise ConfigError(["epsilons must align with n_list"])
-    bad = [n for n in cfg.n_list if cfg.epsilon(n) > mf.epsilon0]
-    if bad:
-        raise ConfigError(
-            [f"epsilon(n={n}) = {cfg.epsilon(n):.4g} exceeds the manifold "
-             f"limit {mf.epsilon0}" for n in bad])
+    for n in cfg.n_list:
+        eps = cfg.epsilon(n)
+        if not (math.isfinite(eps) and eps > 0.0):
+            errors.append(f"epsilon(n={n}) = {eps!r} is not a positive finite number")
+        elif eps > mf.epsilon0:
+            errors.append(f"epsilon(n={n}) = {eps:.4g} exceeds the manifold "
+                          f"limit {mf.epsilon0}")
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 
@@ -217,7 +236,8 @@ def _worker(args):
         rec = run_trial(cfg, n, trial)
     except Exception as exc:  # noqa: BLE001 - per-trial isolation
         rec = {"config_hash": config_hash(cfg), "n": int(n), "trial": int(trial),
-               "failed": True, "error": f"{type(exc).__name__}: {exc}"}
+               "failed": True, "error": f"{type(exc).__name__}: {exc}",
+               "traceback": traceback.format_exc()}
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
         json.dump(rec, fh, indent=2, sort_keys=True)
@@ -270,10 +290,10 @@ def run_experiment(cfg: ExperimentConfig, workers=None) -> dict:
 
 
 def run_digest(records):
-    """Hash of the records with timing fields removed."""
+    """Hash of the records without their timing and traceback fields."""
     canon = []
     for r in sorted(records, key=lambda r: (r["n"], r["trial"])):
-        r = {k: v for k, v in r.items() if k not in TIMING_FIELDS}
+        r = {k: v for k, v in r.items() if k not in UNDIGESTED}
         canon.append(json.dumps(r, sort_keys=True))
     return hashlib.sha256("\n".join(canon).encode()).hexdigest()
 
@@ -339,10 +359,7 @@ def emit_plot_data(summary_path, kind, out_dir) -> dict:
             fh.write(f"{n}\t{y!r}\t{s!r}\n")
     meta = {"kind": kind, "tsv": str(tsv), "n": ns, "y": ys}
     if kind in ("rate_loglog", "cut_error") and len(ns) >= 2:
-        x = np.log(np.asarray(ns, float))
-        yl = np.log(np.maximum(ys, 1e-300))
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, yl, rcond=None)
+        coef = loglog_fit(ns, ys)
         meta["slope"] = float(coef[0])
         meta["monotone_decreasing"] = bool(all(b <= a for a, b in zip(ys, ys[1:])))
         svg = out_dir / f"{kind}.svg"
@@ -365,7 +382,8 @@ def _read_summary(summary_path):
     return rows
 
 
-def _write_loglog_svg(path, ns, ys, coef, width=480, height=360):
+def _write_loglog_svg(path, ns, ys, coef):
+    width, height = SVG_SIZE
     x = np.log10(np.asarray(ns, float))
     y = np.log10(np.maximum(ys, 1e-300))
     pad = 50

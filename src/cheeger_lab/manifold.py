@@ -74,7 +74,6 @@ class Manifold:
     name: str
     m: int  # intrinsic dimension
     d: int  # ambient dimension
-    scale: float
     # conservative admissible length-scale for graph/nonlocal constructions
     epsilon0: float = 0.25
     h_max: float = 0.25
@@ -126,7 +125,6 @@ class Circle(Manifold):
 
     def __init__(self):
         self.radius = 1.0 / TWO_PI
-        self.scale = self.radius
 
     def _sample(self, rng, n):
         t = rng.random(n)
@@ -166,7 +164,6 @@ class FlatTorus2(Manifold):
 
     def __init__(self):
         self.radius = 1.0 / TWO_PI  # per-factor circle radius; unit area total
-        self.scale = self.radius
 
     def _sample(self, rng, n):
         uv = rng.random((n, 2))
@@ -219,7 +216,6 @@ class Sphere2(Manifold):
 
     def __init__(self):
         self.radius = 1.0 / np.sqrt(4.0 * np.pi)
-        self.scale = self.radius
 
     def _sample(self, rng, n):
         g = rng.standard_normal((n, 3))
@@ -240,13 +236,9 @@ class Sphere2(Manifold):
     def on_manifold_residual(self, points):
         return np.abs(np.linalg.norm(points, axis=-1) - self.radius)
 
-    def cap_volume(self, geo_radius):
-        """Area of a geodesic ball (spherical cap); total area is 1."""
-        theta = geo_radius / self.radius
-        return 0.5 * (1.0 - np.cos(theta))
-
     def ball_volume(self, r):
-        return self.cap_volume(r)
+        """Area of a geodesic ball (spherical cap); total area is 1."""
+        return 0.5 * (1.0 - np.cos(r / self.radius))
 
     def ball_perimeter(self, r):
         return TWO_PI * self.radius * np.sin(r / self.radius)
@@ -255,6 +247,10 @@ class Sphere2(Manifold):
         if not 0.0 < vol < 1.0:
             raise ValueError("ball volume must be in (0,1)")
         return self.radius * np.arccos(1.0 - 2.0 * vol)
+
+    def chord(self, r):
+        """Ambient length of the chord of a geodesic distance r (capped at pi R)."""
+        return 2.0 * self.radius * np.sin(min(r / self.radius, np.pi) / 2.0)
 
 
 _REGISTRY = {

@@ -30,6 +30,11 @@ from .quadrature import (QuadratureGrid, grid_for_scale, sphere_exp,
 
 _SIGMA = {1: 1.0, 2: 4.0 / 3.0, 3: np.pi / 2.0}
 
+# the constant C of the bias, monotonicity and smoothing-chain inequalities
+CHECK_C = 10.0
+# latitude bands of the zonal TV_h reduction on the sphere
+ZONAL_BANDS = 2400
+
 
 def surface_tension(m) -> float:
     """sigma_eta = integral of |z_1| over the unit ball in R^m."""
@@ -213,10 +218,8 @@ def _tvh_torus(values, h, n):
 
 
 def _tvh_sphere_pairs(values, h, grid):
-    mf = grid.manifold
-    chord = 2.0 * mf.radius * np.sin(h / (2.0 * mf.radius))
     tree = cKDTree(grid.nodes)
-    pairs = tree.query_pairs(chord, output_type="ndarray")
+    pairs = tree.query_pairs(grid.manifold.chord(h), output_type="ndarray")
     if not len(pairs):
         return 0.0
     i, j = pairs[:, 0], pairs[:, 1]
@@ -224,7 +227,7 @@ def _tvh_sphere_pairs(values, h, grid):
     return 2.0 * float(terms.sum()) / h ** 3
 
 
-def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2, n_bands=2400):
+def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2):
     """Axisymmetric band reduction: exact in azimuth, midpoint in latitude."""
     axis = np.asarray(f.zonal_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -233,9 +236,9 @@ def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2, n_bands=2400):
     ref[np.argmin(np.abs(axis))] = 1.0
     e1 = np.cross(axis, ref)
     e1 /= np.linalg.norm(e1)
-    z_edges = np.linspace(-1.0, 1.0, n_bands + 1)
+    z_edges = np.linspace(-1.0, 1.0, ZONAL_BANDS + 1)
     zc = 0.5 * (z_edges[:-1] + z_edges[1:])
-    w = 1.0 / n_bands
+    w = 1.0 / ZONAL_BANDS
     sin_t = np.sqrt(np.maximum(1.0 - zc * zc, 0.0))
     pts = mf.radius * (np.outer(zc, axis) + np.outer(sin_t, e1))
     fv = f(pts)
@@ -245,11 +248,11 @@ def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2, n_bands=2400):
     # pair each band only with the bands within alpha plus two mean band
     # widths, a slack far above the rounding of cphi near 1.
     neg_theta = -np.arccos(zc)  # increasing with the band index
-    reach = alpha + 2.0 * np.pi / n_bands
+    reach = alpha + 2.0 * np.pi / ZONAL_BANDS
     lo = np.searchsorted(neg_theta, neg_theta - reach, side="left")
     hi = np.searchsorted(neg_theta, neg_theta + reach, side="right")
     counts = hi - lo
-    i = np.repeat(np.arange(n_bands), counts)
+    i = np.repeat(np.arange(ZONAL_BANDS), counts)
     j = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     A = zc[i] * zc[j]
     B = sin_t[i] * sin_t[j]
@@ -266,12 +269,12 @@ def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2, n_bands=2400):
 # Local TV for smooth functions
 # ---------------------------------------------------------------------------
 
-def tv_local_smooth(f: ContinuumFunction, grid: QuadratureGrid, step=None) -> float:
+def tv_local_smooth(f: ContinuumFunction, grid: QuadratureGrid) -> float:
     """TV(f) = integral of |grad f| by quadrature (smooth f)."""
     if f.grad_norm is not None:
         g = np.asarray(f.grad_norm(grid.nodes))
     else:
-        g = gradient_norm_fd(f, grid, step=step)
+        g = gradient_norm_fd(f, grid)
     return float(np.dot(grid.weights, g))
 
 
@@ -384,7 +387,7 @@ class CheckReport:
         return {"name": self.name, "passed": self.passed, "entries": self.entries}
 
 
-def check_bias_inequality(manifold, ref: ReferenceSet, h_list, C=10.0,
+def check_bias_inequality(manifold, ref: ReferenceSet, h_list,
                           grid_factor=8) -> CheckReport:
     """TV_h(1_E) <= (1 + C h^2) sigma * TV(1_E) on a reference set."""
     rep = CheckReport(name="bias_inequality")
@@ -395,12 +398,12 @@ def check_bias_inequality(manifold, ref: ReferenceSet, h_list, C=10.0,
         grid = grid_for_scale(manifold, h, grid_factor)
         tvh = tv_nonlocal(f, h, grid)
         ratio = tvh / (sigma * tv)
-        ok = ratio <= 1.0 + C * h * h
+        ok = ratio <= 1.0 + CHECK_C * h * h
         rep.add(h=h, tv_h=tvh, ratio=ratio, fitted_c=(ratio - 1.0) / (h * h), ok=ok)
     return rep
 
 
-def check_monotonicity(f: ContinuumFunction, h, a_list, manifold, C=10.0,
+def check_monotonicity(f: ContinuumFunction, h, a_list, manifold,
                        grid_factor=8) -> CheckReport:
     """TV_a(f) <= C TV_h(f) for h <= a (subadditivity consequence)."""
     if any(a < h for a in a_list):
@@ -414,11 +417,11 @@ def check_monotonicity(f: ContinuumFunction, h, a_list, manifold, C=10.0,
     for a in sorted(a_list):
         tva = tv_nonlocal(f, a, grid_for_scale(manifold, a, grid_factor))
         ratio = tva / tvh
-        rep.add(h=h, a=a, ratio=ratio, ok=ratio <= C)
+        rep.add(h=h, a=a, ratio=ratio, ok=ratio <= CHECK_C)
     return rep
 
 
-def check_smoothing_chain(manifold, ref: ReferenceSet, h, a, C=10.0,
+def check_smoothing_chain(manifold, ref: ReferenceSet, h, a,
                           grid_factor=8) -> CheckReport:
     """sigma TV(Lambda_a f) vs TV_h(f), and the L1 closeness of Lambda_a f.
 
@@ -427,6 +430,7 @@ def check_smoothing_chain(manifold, ref: ReferenceSet, h, a, C=10.0,
     """
     if h > a:
         raise ValueError("requires h <= a")
+    C = CHECK_C
     rep = CheckReport(name="smoothing_chain")
     sigma = surface_tension(manifold.m)
     f = indicator_function(ref)
@@ -436,7 +440,7 @@ def check_smoothing_chain(manifold, ref: ReferenceSet, h, a, C=10.0,
     lam = smooth(f, kern, grid)
     grad = gradient_norm_fd(lam, grid)
     tv_sm = float(np.dot(grid.weights, grad))
-    sup = f.bound if f.bound is not None else float(np.abs(f(grid.nodes)).max())
+    sup = f.bound  # 1, the bound of an indicator
     lhs = sigma * tv_sm
     bound = (1.0 + C * (h * h + a)) * tvh + C * (h / (a * a) + a) * sup
     l1 = float(np.dot(grid.weights, np.abs(lam(grid.nodes) - f(grid.nodes))))

@@ -73,17 +73,13 @@ class ProximityGraph:
             json.dump(meta, fh, indent=2)
 
     @staticmethod
-    def load(path, points=None, cloud=None):
+    def load(path, cloud=None):
         path = Path(path)
         with open(path.with_suffix(path.suffix + ".json")) as fh:
             meta = json.load(fh)
         raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
         edges = raw.reshape(-1, 2)
-        if points is None:
-            if cloud is not None:
-                points = cloud.points
-            else:
-                points = np.zeros((meta["n"], 1))
+        points = cloud.points if cloud is not None else np.zeros((meta["n"], 1))
         return ProximityGraph(points=points, epsilon=meta["epsilon"],
                               m=meta["m"], edges=edges, cloud=cloud)
 
@@ -102,8 +98,8 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
             points = points[:, None]
         if m is None:
             raise ValueError("m required when building from a raw point array")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
     edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
                           edges=edges, cloud=cloud)
@@ -111,7 +107,7 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
 
 def _edges_kdtree(points, eps):
     n = points.shape[0]
-    if n < 2 or eps == 0.0:
+    if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
     # pairs have i < j; one sort of the key i*n + j is the lexicographic order

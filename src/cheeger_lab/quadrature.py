@@ -8,7 +8,7 @@ round-off), so integrating the constant 1 returns 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ class QuadratureGrid:
     intrinsic: np.ndarray    # intrinsic coordinates of the nodes
     # lattice structure, when the grid is a uniform product grid
     lattice_shape: tuple = ()
-    # sphere band structure: (band z-centers, band weights) when applicable
-    bands: tuple = field(default=(), repr=False)
 
     @property
     def size(self):
@@ -61,7 +59,6 @@ def sphere_grid(manifold: Sphere2, n_target: int) -> QuadratureGrid:
     band_w = 1.0 / n_bands  # equal-height z-bands have equal area
     dirs = []
     wts = []
-    intr = []
     for k in range(n_bands):
         s = np.sqrt(max(1.0 - zc[k] * zc[k], 0.0))
         m_k = max(1, int(round(2.0 * np.pi * s / (2.0 / n_bands))))
@@ -71,15 +68,12 @@ def sphere_grid(manifold: Sphere2, n_target: int) -> QuadratureGrid:
         z = np.full(m_k, zc[k])
         dirs.append(np.stack([x, y, z], axis=1))
         wts.append(np.full(m_k, band_w / m_k))
-        intr.append(np.stack([x, y, z], axis=1))
     dirs = np.concatenate(dirs)
     wts = np.concatenate(wts)
-    intr = np.concatenate(intr)
     nodes = manifold.to_ambient(dirs)
     # geodesic band height as the spacing scale
     spacing = np.pi * manifold.radius / n_bands
-    return QuadratureGrid(manifold, nodes, wts, spacing=spacing, intrinsic=intr,
-                          bands=(zc, np.full(n_bands, band_w)))
+    return QuadratureGrid(manifold, nodes, wts, spacing=spacing, intrinsic=dirs)
 
 
 def build_grid(manifold, resolution) -> QuadratureGrid:

@@ -290,6 +290,27 @@ def test_fix_mass_sphere_removal():
     assert grid.integrate(vals) == pytest.approx(0.44, abs=0.02)
 
 
+@pytest.mark.parametrize("mf,resolution,member,target", [
+    pytest.param(CIRCLE, 800, CircleArc(CIRCLE, center=0.25), 0.6, id="circle-add"),
+    pytest.param(CIRCLE, 800, CircleArc(CIRCLE, center=0.25), 0.37, id="circle-remove"),
+    pytest.param(TORUS, 64, TorusStrip(TORUS, axis=1, offset=0.25), 0.51, id="torus-add"),
+    pytest.param(TORUS, 64, TorusStrip(TORUS, axis=0, offset=0.0), 0.45, id="torus-remove"),
+    pytest.param(SPHERE, 3000, SphereCap(SPHERE, pole=[0, 1, 1]), 0.58, id="sphere-add"),
+    pytest.param(SPHERE, 3000, SphereCap(SPHERE, pole=[0, 0, 1]), 0.44, id="sphere-remove")])
+def test_fix_mass_radius_is_closed_form(mf, resolution, member, target):
+    adj = fix_mass(member.indicator, 0.5, target, mf, build_grid(mf, resolution))
+    assert adj.radius == mf.ball_radius_for_volume(abs(target - 0.5))
+    assert adj.volume == target
+
+
+def test_fix_mass_torus_disk_above_quarter_pi_is_infeasible():
+    # a geodesic disk of the unit torus has radius <= 1/2, so area <= pi/4
+    strip = TorusStrip(TORUS, axis=0, offset=0.0, width=0.1)
+    grid = build_grid(TORUS, 64)
+    with pytest.raises(InfeasibleMass, match="too large for flat torus"):
+        fix_mass(strip.indicator, 0.1, 0.1 + np.pi / 4 + 1e-3, TORUS, grid)
+
+
 def test_ustat_constant_function_is_zero():
     rep = ustat_concentration(CIRCLE, constant_function(0.7), [50, 100],
                               epsilon_rule=0.1, trials=5, seed=0)

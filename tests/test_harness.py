@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cheeger_lab import cli
+from cheeger_lab import cli, harness
 from cheeger_lab.errors import ConfigError, MissingColumns
 from cheeger_lab.harness import (ExperimentConfig, config_hash, emit_plot_data,
                                  run_digest, run_experiment, run_trial,
@@ -50,6 +50,35 @@ def test_validate_config_epsilon_limit_names_offender():
         validate_config({"manifold": "circle", "n_list": [8, 100], "trials": 1,
                          "seed": 0, "out": "x"})
     assert any("n=8" in e for e in exc.value.errors)
+
+
+@pytest.mark.parametrize("overrides,offender", [
+    pytest.param({"epsilons": [0.0, 0.1]}, "epsilon(n=100) = 0.0", id="zero"),
+    pytest.param({"epsilons": [float("nan"), 0.1]}, "epsilon(n=100) = nan", id="nan"),
+    pytest.param({"epsilon_c": -1}, "epsilon(n=200) = -0.07", id="negative"),
+    pytest.param({"epsilon_k": float("inf")}, "epsilon(n=100) = 0.0", id="underflow")])
+def test_validate_config_rejects_nonpositive_epsilon(tmp_path, overrides, offender):
+    with pytest.raises(ConfigError) as exc:
+        small_config("x", **overrides)
+    assert any(e.startswith(offender) and "positive finite" in e
+               for e in exc.value.errors), exc.value.errors
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"manifold": "circle", "n_list": [100, 200], "trials": 1,
+                               "seed": 0, "out": "x", **overrides}))
+    assert cli.main(["validate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("trials", "five"), ("seed", "s"), ("n_list", [100, "two hundred"]),
+    ("epsilons", [0.1, "tiny"]), ("epsilon_c", [2.0]), ("epsilon_k", "half")])
+def test_validate_config_rejects_non_numbers(tmp_path, key, value):
+    with pytest.raises(ConfigError) as exc:
+        small_config("x", **{key: value})
+    assert f"{key} must be numeric, got {value!r}" in exc.value.errors
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"manifold": "circle", "n_list": [100, 200], "trials": 1,
+                               "seed": 0, "out": "x", key: value}))
+    assert cli.main(["validate", "--config", str(bad)]) == 2
 
 
 def test_trial_seed_stable_and_distinct():
@@ -157,6 +186,22 @@ def test_emit_plot_data_missing_columns(tmp_path):
     bad.write_text("a,b\n")
     with pytest.raises(MissingColumns):
         emit_plot_data(bad, "rate_loglog", tmp_path / "plots")
+
+
+def test_failed_trial_keeps_traceback_out_of_digest(tmp_path, monkeypatch):
+    def broken_build(cloud, eps):
+        raise RuntimeError("no graph today")
+
+    monkeypatch.setattr(harness, "build_graph", broken_build)
+    runs = [run_experiment(small_config(tmp_path / d), workers=1) for d in ("a", "b")]
+    rec = runs[0]["records"][0]
+    assert rec["failed"] and rec["error"] == "RuntimeError: no graph today"
+    assert "broken_build" in rec["traceback"]
+    assert rec["traceback"].rstrip().endswith("RuntimeError: no graph today")
+    assert runs[0]["digest"] == runs[1]["digest"]
+    moved = [dict(r, traceback=r["traceback"].replace("harness", "elsewhere"))
+             for r in runs[0]["records"]]
+    assert run_digest(moved) == runs[0]["digest"]
 
 
 def test_failed_trials_are_isolated(tmp_path):

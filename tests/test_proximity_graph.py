@@ -138,11 +138,13 @@ def test_equal_rational_ratios_are_bit_equal(n, seed, rescale):
 
 def test_empty_and_zero_epsilon():
     pts = np.random.default_rng(0).random((10, 2))
-    g = build_graph(pts, 0.0, m=2)
+    g = build_graph(pts, 1e-9, m=2)
     assert len(g.edges) == 0
     assert gtv(g, np.ones(10)) == 0.0
-    with pytest.raises(ValueError):
-        build_graph(pts, -0.1, m=2)
+    assert objective(g, [0, 3]) == 0.0
+    for eps in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            build_graph(pts, eps, m=2)
 
 
 def test_adjacency_and_degrees_consistent():
