@@ -108,7 +108,7 @@ def _dispatch(args):
     if cmd == "solve":
         cloud = PointCloud.load(args.cloud) if args.cloud else None
         g = ProximityGraph.load(args.graph, cloud=cloud)
-        res = harness.solve(g, args.method, args.seed)
+        res = harness._SOLVERS[args.method](g)
         print(json.dumps({"objective_value": res.objective_value,
                           "subset_size": int(len(res.subset)),
                           "gtv": res.gtv, "balance": res.balance,

@@ -230,18 +230,41 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
 # Spectral sweep
 # ---------------------------------------------------------------------------
 
-def fiedler_vector(graph: ProximityGraph, seed=0):
-    """Second eigenvector of L = D - W, deflating the constant vector."""
+def _start_block(points):
+    """Orthonormal basis of the centred coordinate functions of the cloud.
+
+    On the model manifolds these span the lambda_2 cluster of the continuum
+    Laplacian, so a block of one vector per coordinate starts near the answer.
+    Columns below numpy's matrix-rank cut are dropped (collinear clouds); a
+    cloud with no spread starts from the centred vertex index.
+    """
+    n = points.shape[0]
+    X = points - points.mean(axis=0)
+    U, s, _ = np.linalg.svd(X, full_matrices=False)
+    keep = s > s[:1] * max(X.shape) * np.finfo(float).eps
+    # lobpcg needs n - 1 >= 5 * block size to iterate under the constraint
+    U = U[:, keep][:, :(n - 1) // 5]
+    if U.shape[1]:
+        return U
+    idx = np.arange(n) - (n - 1) / 2.0
+    return (idx / np.linalg.norm(idx))[:, None]
+
+
+def fiedler_vector(graph: ProximityGraph):
+    """Second eigenvector of L = D - W, deflating the constant vector.
+
+    LOBPCG runs on a block started from the cloud's centred coordinates and
+    returns the lowest Ritz vector of the block.
+    """
     n = graph.n
     W = graph.adjacency
     deg = graph.degrees
     L = sp.diags(deg, dtype=float) - W
     if n <= 128:
         vals, vecs = np.linalg.eigh(L.toarray())
-        return vecs[:, 1], 0.0
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, 1))
-    X -= X.mean()
+        v = vecs[:, 1]
+        return v, float(np.linalg.norm(L @ v - vals[1] * v))
+    X = _start_block(graph.points)
     Y = np.ones((n, 1)) / np.sqrt(n)
     try:
         with np.errstate(all="ignore"):
@@ -258,7 +281,7 @@ def fiedler_vector(graph: ProximityGraph, seed=0):
     return v, res
 
 
-def solve_spectral_sweep(graph: ProximityGraph, seed=0) -> CutResult:
+def solve_spectral_sweep(graph: ProximityGraph) -> CutResult:
     """Best Cheeger ratio among the n-1 threshold cuts of the Fiedler vector."""
     t0 = time.perf_counter()
     n = graph.n
@@ -273,7 +296,7 @@ def solve_spectral_sweep(graph: ProximityGraph, seed=0) -> CutResult:
                                   solver="spectral_sweep", certificate="Heuristic",
                                   elapsed=time.perf_counter() - t0,
                                   extras={"disconnected": True})
-    v, res = fiedler_vector(graph, seed=seed)
+    v, res = fiedler_vector(graph)
     order = np.argsort(v, kind="stable")
     k = _best_sweep_k(graph, order)
     subset = order[:k]
@@ -347,6 +370,10 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
             improved = True
         if not improved:
             break
+    # a search that moved nothing leaves the start (and its name as the
+    # pipeline's winner) in place
+    if moves == 0:
+        return start
     out = result_from_subset(graph, mask, solver="local_search",
                              certificate="Heuristic",
                              elapsed=time.perf_counter() - t0,
@@ -361,13 +388,15 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def solve_pipeline(graph: ProximityGraph, seed=0) -> CutResult:
+def solve_pipeline(graph: ProximityGraph) -> CutResult:
     """Default estimator: spectral (+ arc) sweep, then local search."""
     t0 = time.perf_counter()
     candidates = []
     degraded = False
+    eigen_residual = None  # stays None when the solve fails or is not needed
     try:
-        candidates.append(solve_spectral_sweep(graph, seed=seed))
+        candidates.append(solve_spectral_sweep(graph))
+        eigen_residual = candidates[0].extras.get("eigen_residual")
     except EigenNotConverged:
         degraded = True
     is_circle = graph.cloud is not None and isinstance(graph.cloud.manifold, Circle)
@@ -377,12 +406,11 @@ def solve_pipeline(graph: ProximityGraph, seed=0) -> CutResult:
         # spectral failed and no arc structure: fall back to a trivial start
         candidates.append(result_from_subset(graph, [0], solver="fallback",
                                              certificate="Heuristic", elapsed=0.0))
-    # local search returns its start, the same subset and value, or a strictly
-    # lower value, so the starts themselves never win
+    # a search that moves nothing returns its start, whose solver then wins
     refined = [refine_local_search(graph, c) for c in candidates]
     best = min(refined, key=lambda r: (r.objective_value, _subset_key(r.subset)))
     return CutResult(subset=best.subset, objective_value=best.objective_value,
                      gtv=best.gtv, balance=best.balance, solver="pipeline",
                      elapsed=time.perf_counter() - t0, certificate="Heuristic",
                      extras={"degraded": degraded, "winner": best.solver,
-                             **best.extras})
+                             "eigen_residual": eigen_residual, **best.extras})

@@ -36,15 +36,21 @@ from .quadrature import build_grid
 
 SUMMARY_COLUMNS = ["n", "epsilon", "trial_seed", "cheeger_ratio",
                    "continuum_ref", "abs_error", "l1_cut_error",
-                   "sup_displacement", "method", "certificate", "elapsed_sec"]
+                   "sup_displacement", "method", "winner", "certificate",
+                   "elapsed_sec"]
 
 _SOLVERS = {"pipeline": solve_pipeline, "exact": solve_exact,
             "spectral": solve_spectral_sweep, "arc": solve_arc_sweep}
 
 # the timed stages of a trial, in order; their seconds go to the record's stage_s
 STAGES = ("sample", "graph", "solve", "reference", "l1")
-# left out of the run digest: timings, and tracebacks (paths and line numbers)
-UNDIGESTED = ("elapsed_sec", "stage_s", "traceback")
+# left out of the run digest: timings, tracebacks (paths and line numbers) and
+# the eigen residual, whose last bits depend on the BLAS threading
+UNDIGESTED = ("elapsed_sec", "stage_s", "traceback", "eigen_residual")
+
+# version of the record layout written by `run_trial`, part of the config
+# hash; raise it whenever a record field is added, removed or renamed
+RECORD_SCHEMA = 2
 
 # quadrature grid size of a trial's L1 cut error, per manifold
 TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
@@ -169,14 +175,6 @@ def _record_path(out_dir, n, trial):
     return Path(out_dir) / f"record_n{n}_t{trial}.json"
 
 
-def solve(graph, method, seed):
-    """Run the registered solver ``method``; only the randomised ones take a seed."""
-    solver = _SOLVERS[method]
-    if method in ("pipeline", "spectral"):
-        return solver(graph, seed=seed)
-    return solver(graph)
-
-
 def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     mf = get_manifold(cfg.manifold)
     seed = trial_seed(cfg.seed, n, trial)
@@ -186,7 +184,7 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     marks.append(time.perf_counter())
     graph = build_graph(cloud, eps)
     marks.append(time.perf_counter())
-    result = solve(graph, cfg.solver, seed)
+    result = _SOLVERS[cfg.solver](graph)
     marks.append(time.perf_counter())
     ref = continuum_cheeger(mf)
     target = surface_tension(mf.m) * ref.constant
@@ -213,6 +211,11 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
         "sup_displacement": float(err.sup_displacement),
         "transport_delta": transport_delta, "kappa": kappa,
         "method": cfg.solver, "certificate": result.certificate,
+        # how the solver got there: the candidate that won, whether the eigen
+        # solve failed, and its residual (null where no eigen solve ran)
+        "winner": result.extras.get("winner", result.solver),
+        "degraded": bool(result.extras.get("degraded", False)),
+        "eigen_residual": result.extras.get("eigen_residual"),
         "elapsed_sec": float(result.elapsed),
         "stage_s": {name: b - a for name, a, b in zip(STAGES, marks, marks[1:])},
     }
@@ -222,6 +225,8 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
 def config_hash(cfg: ExperimentConfig):
     d = cfg.resolved()
     d.pop("out", None)  # the output location does not affect the results
+    # a resume must not mix records of two layouts
+    d["record_schema"] = RECORD_SCHEMA
     blob = json.dumps(d, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -307,7 +312,8 @@ def _write_summary(path, records):
                         repr(r["cheeger_ratio"]), repr(r["continuum_ref"]),
                         repr(r["abs_error"]), repr(r["l1_cut_error"]),
                         repr(r["sup_displacement"]), r["method"],
-                        r["certificate"], f"{r['elapsed_sec']:.3f}"])
+                        r["winner"], r["certificate"],
+                        f"{r['elapsed_sec']:.3f}"])
 
 
 def _write_rates(path, cfg, records):

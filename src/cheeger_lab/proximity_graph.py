@@ -45,15 +45,14 @@ class ProximityGraph:
     @property
     def adjacency(self) -> sp.csr_matrix:
         if self._adj is None:
+            # the sorted edges are already the rows of the upper triangle
             n = self.n
-            if len(self.edges):
-                i, j = self.edges[:, 0], self.edges[:, 1]
-                data = np.ones(2 * len(self.edges))
-                self._adj = sp.csr_matrix(
-                    (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
-                    shape=(n, n))
-            else:
-                self._adj = sp.csr_matrix((n, n))
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.edges[:, 0], minlength=n), out=indptr[1:])
+            upper = sp.csr_matrix((np.ones(len(self.edges)),
+                                   self.edges[:, 1].astype(np.int32), indptr),
+                                  shape=(n, n))
+            self._adj = upper + upper.T
         return self._adj
 
     @property
@@ -78,7 +77,11 @@ class ProximityGraph:
         with open(path.with_suffix(path.suffix + ".json")) as fh:
             meta = json.load(fh)
         raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
-        edges = raw.reshape(-1, 2)
+        # i < j and lexicographic order, as `adjacency` reads rows off the list
+        edges = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0)
+        # `adjacency` builds its CSR without checking the indices
+        if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= meta["n"]):
+            raise ValueError(f"{path}: edge index outside 0..{meta['n'] - 1}")
         points = cloud.points if cloud is not None else np.zeros((meta["n"], 1))
         return ProximityGraph(points=points, epsilon=meta["epsilon"],
                               m=meta["m"], edges=edges, cloud=cloud)

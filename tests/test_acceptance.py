@@ -92,7 +92,7 @@ def test_criterion_01_pipeline_matches_exact():
         cloud = mf.sample(n, seed=1000 + i)
         g = build_graph(cloud, eps)
         ex = solve_exact(g)
-        pl = solve_pipeline(g, seed=i)
+        pl = solve_pipeline(g)
         never_smaller &= pl.objective_value >= ex.objective_value - 1e-9
         agree += abs(pl.objective_value - ex.objective_value) <= 1e-9
     elapsed = time.perf_counter() - t0

@@ -340,7 +340,7 @@ def test_cut_l1_complement_invariance():
     cloud = CIRCLE.sample(200, seed=9)
     g = build_graph(cloud, 0.08)
     from cheeger_lab.cut_solvers import solve_pipeline, CutResult
-    res = solve_pipeline(g, seed=0)
+    res = solve_pipeline(g)
     grid = build_grid(CIRCLE, 800)
     ref = continuum_cheeger(CIRCLE)
     e1 = cut_l1_error(res, cloud, ref, grid=grid)

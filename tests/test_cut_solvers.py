@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
 from cheeger_lab.errors import SizeLimitExceeded, WrongManifold
 from cheeger_lab.manifold import PointCloud, get_manifold
 from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                         cheeger_ratio, objective)
-from cheeger_lab.cut_solvers import (canonical_subset, refine_local_search,
-                                     solve_arc_sweep, solve_exact,
-                                     solve_pipeline, solve_spectral_sweep)
+from cheeger_lab.cut_solvers import (LOBPCG_TOL, _best_sweep_k,
+                                     canonical_subset, fiedler_vector,
+                                     refine_local_search, solve_arc_sweep,
+                                     solve_exact, solve_pipeline,
+                                     solve_spectral_sweep)
 
 
 def grid_circle_cloud(n):
@@ -184,7 +189,7 @@ def test_exact_rational_tie_goes_to_smaller_side():
 def test_spectral_recovers_planted_clusters():
     cloud = planted_two_arcs(30, seed=4)
     g = build_graph(cloud, 0.12)
-    res = solve_spectral_sweep(g, seed=0)
+    res = solve_spectral_sweep(g)
     t = cloud.manifold.to_intrinsic(cloud.points)
     side = set(np.flatnonzero(t < 0.5))
     got = set(res.subset.tolist())
@@ -196,8 +201,8 @@ def test_pipeline_not_worse_than_components():
     for seed in range(10):
         cloud = mf.sample(60, seed=seed)
         g = build_graph(cloud, 0.15)
-        pipe = solve_pipeline(g, seed=seed)
-        spec = solve_spectral_sweep(g, seed=seed)
+        pipe = solve_pipeline(g)
+        spec = solve_spectral_sweep(g)
         arc = solve_arc_sweep(g)
         assert pipe.objective_value <= spec.objective_value + 1e-12
         assert pipe.objective_value <= arc.objective_value + 1e-12
@@ -208,7 +213,7 @@ def test_pipeline_not_worse_than_components():
 def test_local_search_never_worsens_and_reaches_exact_on_planted():
     cloud = planted_two_arcs(9, seed=8)
     g = build_graph(cloud, 0.12)
-    spec = solve_spectral_sweep(g, seed=1)
+    spec = solve_spectral_sweep(g)
     ref = refine_local_search(g, spec)
     assert ref.objective_value <= spec.objective_value + 1e-12
     ex = solve_exact(g)
@@ -219,8 +224,8 @@ def test_canonical_subset_contains_vertex_zero():
     mf = get_manifold("circle")
     cloud = mf.sample(40, seed=2)
     g = build_graph(cloud, 0.2)
-    for res in (solve_arc_sweep(g), solve_spectral_sweep(g, seed=0),
-                solve_pipeline(g, seed=0)):
+    for res in (solve_arc_sweep(g), solve_spectral_sweep(g),
+                solve_pipeline(g)):
         assert 0 in res.subset
         assert np.all(np.diff(res.subset) > 0)
 
@@ -229,8 +234,8 @@ def test_solver_determinism():
     mf = get_manifold("circle")
     cloud = mf.sample(300, seed=12)
     g = build_graph(cloud, 0.1)
-    a = solve_pipeline(g, seed=7)
-    b = solve_pipeline(g, seed=7)
+    a = solve_pipeline(g)
+    b = solve_pipeline(g)
     assert a.objective_value == b.objective_value
     assert np.array_equal(a.subset, b.subset)
 
@@ -239,3 +244,71 @@ def test_exact_needs_two_vertices():
     g = build_graph(np.zeros((1, 1)), 0.1, m=1)
     with pytest.raises(ValueError):
         solve_exact(g)
+
+
+def dense_sweep_subset(graph):
+    """Canonical sweep subset of the Fiedler vector from a dense eigh."""
+    lap = np.diag(graph.degrees.astype(float)) - graph.adjacency.toarray()
+    order = np.argsort(np.linalg.eigh(lap)[1][:, 1], kind="stable")
+    return canonical_subset(graph.n, order[:_best_sweep_k(graph, order)])
+
+
+# above the dense cut-off of 128 vertices, so the block LOBPCG path runs
+@pytest.mark.parametrize("name,eps", [("circle", 0.1), ("flat_torus_2", 0.25),
+                                      ("sphere_2", 0.25)])
+@pytest.mark.parametrize("n,seed", [(129, 1), (250, 2), (400, 3)])
+def test_block_sweep_matches_the_dense_fiedler_sweep(name, eps, n, seed):
+    g = build_graph(get_manifold(name).sample(n, seed=seed), eps)
+    res = solve_spectral_sweep(g)
+    assert res.extras["eigen_residual"] <= LOBPCG_TOL
+    assert np.array_equal(res.subset, dense_sweep_subset(g))
+
+
+@pytest.mark.parametrize("name", ["sphere_2", "flat_torus_2"])
+def test_eigen_solve_converges_without_a_stall(name, monkeypatch):
+    # a random one-vector start stalls at the iteration limit on the sphere
+    # cloud (LOBPCG seed 1) and needs 475 iterations on the torus cloud (seed 0)
+    histories = []
+    real = spla.lobpcg
+
+    def lobpcg(*args, **kwargs):
+        vals, vecs, history = real(*args, retResidualNormsHistory=True, **kwargs)
+        histories.append(history)
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "lobpcg", lobpcg)
+    n = 8000
+    g = build_graph(get_manifold(name).sample(n, seed=1), 2 * n ** -0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, res = fiedler_vector(g)
+    assert res <= LOBPCG_TOL
+    # one residual row for the start, each iteration and the final Ritz step
+    assert len(histories) == 1 and len(histories[0]) < 100
+
+
+def test_spectral_sweep_on_a_graph_loaded_without_its_cloud(tmp_path):
+    # the loaded points are all zero: the solve starts from the vertex index
+    cloud = get_manifold("flat_torus_2").sample(200, seed=3)
+    g = build_graph(cloud, 0.25)
+    g.save(tmp_path / "graph.csv")
+    bare = ProximityGraph.load(tmp_path / "graph.csv")
+    assert not bare.points.any()
+    res = solve_spectral_sweep(bare)
+    assert res.extras["eigen_residual"] <= LOBPCG_TOL
+    assert np.array_equal(res.subset, dense_sweep_subset(g))
+
+
+@pytest.mark.parametrize("d", [2, 40])
+def test_spectral_sweep_on_degenerate_coordinates(d):
+    # collinear points in the plane (rank 1), and more coordinates than
+    # lobpcg can hold next to the constant vector at n = 150
+    rng = np.random.default_rng(4)
+    t = np.sort(rng.random(150))
+    pts = (np.outer(t, [1.0, -2.0]) + [3.0, 1.0] if d == 2
+           else np.outer(t, rng.standard_normal(d)) + 0.01 * rng.random((150, d)))
+    g = build_graph(pts, 0.15 if d == 2 else 0.3, m=1)
+    assert csgraph.connected_components(g.adjacency)[0] == 1
+    res = solve_spectral_sweep(g)
+    assert res.extras["eigen_residual"] <= LOBPCG_TOL
+    assert np.array_equal(res.subset, dense_sweep_subset(g))

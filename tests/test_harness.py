@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from cheeger_lab import cli, harness
+from cheeger_lab.cut_solvers import LOBPCG_TOL
 from cheeger_lab.errors import ConfigError, MissingColumns
 from cheeger_lab.harness import (ExperimentConfig, config_hash, emit_plot_data,
                                  run_digest, run_experiment, run_trial,
@@ -107,11 +109,32 @@ def test_record_stage_times_and_edge_count(tmp_path):
     assert rec["n_edges"] == len(g.edges)
 
 
+def test_record_shows_how_the_solver_got_there(tmp_path):
+    cfg = small_config(tmp_path / "c", n_list=[200])
+    rec = run_trial(cfg, 200, 0)
+    assert rec["winner"] in ("spectral_sweep", "arc_sweep", "local_search")
+    assert rec["degraded"] is False
+    assert 0.0 <= rec["eigen_residual"] <= LOBPCG_TOL
+    cfg = small_config(tmp_path / "a", n_list=[200], solver="arc")
+    rec = run_trial(cfg, 200, 0)
+    assert rec["winner"] == "arc_sweep" and rec["eigen_residual"] is None
+    res = run_experiment(cfg)
+    rows = Path(res["summary_path"]).read_text().splitlines()
+    header = rows[0].split(",")
+    assert [r.split(",")[header.index("winner")] for r in rows[1:]] == \
+        ["arc_sweep", "arc_sweep"]
+
+
 def test_digest_ignores_stage_times(tmp_path):
     records = run_experiment(small_config(tmp_path / "run"))["records"]
     retimed = [dict(r, stage_s={k: v + 1.0 for k, v in r["stage_s"].items()})
                for r in records]
     assert run_digest(retimed) == run_digest(records)
+    # the residual's last bits follow the BLAS threading, not the config
+    shaken = [dict(r, eigen_residual=2.0 * r["eigen_residual"]) for r in records]
+    assert run_digest(shaken) == run_digest(records)
+    assert run_digest([dict(r, winner="other") for r in records]) != \
+        run_digest(records)
     assert run_digest([dict(r, n_edges=r["n_edges"] + 1) for r in records]) != \
         run_digest(records)
 
@@ -142,6 +165,28 @@ def test_crash_resume_digest(tmp_path):
     victim.unlink()
     res2 = run_experiment(cfg)
     assert res2["digest"] == res["digest"]
+
+
+def test_resume_rejects_records_of_an_older_layout(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path / "run")
+    run_experiment(cfg)
+    # a record written before `winner` existed, under the config hash of the
+    # time, which did not include the record layout
+    d = cfg.resolved()
+    d.pop("out")
+    old_hash = hashlib.sha256(json.dumps(d, sort_keys=True, default=str)
+                              .encode()).hexdigest()[:16]
+    path = tmp_path / "run" / "record_n200_t1.json"
+    rec = json.loads(path.read_text())
+    for key in ("winner", "degraded", "eigen_residual"):
+        del rec[key]
+    path.write_text(json.dumps(dict(rec, config_hash=old_hash)))
+    with pytest.raises(ConfigError, match="another config"):
+        run_experiment(cfg)
+    # a new layout is a new hash
+    before = config_hash(cfg)
+    monkeypatch.setattr(harness, "RECORD_SCHEMA", harness.RECORD_SCHEMA + 1)
+    assert config_hash(cfg) != before
 
 
 def test_worker_count_invariance(tmp_path):
@@ -248,6 +293,11 @@ def test_cli_exit_codes(tmp_path):
                                "trials": 1, "seed": 0, "out": "x"}))
     assert cli.main(["validate", "--config", str(bad)]) == 2
     assert cli.main(["solve", "--graph", str(tmp_path / "missing.csv")]) == 3
+    # an edge index >= n in either column is an input error, not a crash
+    graph = tmp_path / "bad.csv"
+    graph.write_text("i,j\n0,1\n1,7\n")
+    (tmp_path / "bad.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    assert cli.main(["solve", "--graph", str(graph)]) == 3
 
 
 def test_cli_validate_echoes_defaults(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,24 @@ def test_adjacency_and_degrees_consistent():
     assert g.degrees.sum() == 2 * len(g.edges)
 
 
+@pytest.mark.parametrize("name,eps", [("circle", 0.05), ("flat_torus_2", 0.15),
+                                      ("sphere_2", 0.12), ("empty", 1e-9)])
+def test_adjacency_equals_the_symmetric_coo_build(name, eps):
+    if name == "empty":
+        g = build_graph(np.random.default_rng(0).random((10, 2)), eps, m=2)
+    else:
+        g = build_graph(get_manifold(name).sample(300, seed=5), eps)
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    ref = sp.csr_matrix((np.ones(2 * len(g.edges)),
+                         (np.concatenate([i, j]), np.concatenate([j, i]))),
+                        shape=(g.n, g.n))
+    A = g.adjacency
+    assert A.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(A, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_graph_save_load_roundtrip(tmp_path):
     mf = get_manifold("circle")
     cloud = mf.sample(40, seed=1)
@@ -167,6 +186,25 @@ def test_graph_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.edges, g.edges)
     assert back.epsilon == g.epsilon
     assert back.m == g.m
+
+
+def test_load_puts_edges_in_adjacency_order(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("i,j\n3,1\n0,2\n2,3\n0,1\n")
+    (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    g = ProximityGraph.load(path)
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert g.adjacency.toarray().tolist() == [[0, 1, 1, 0], [1, 0, 0, 1],
+                                             [1, 0, 0, 1], [0, 1, 1, 0]]
+
+
+@pytest.mark.parametrize("rows", ["1,7", "7,1", "-1,2", "0,4"])
+def test_load_rejects_edge_index_out_of_range(tmp_path, rows):
+    path = tmp_path / "graph.csv"
+    path.write_text(f"i,j\n0,1\n{rows}\n")
+    (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    with pytest.raises(ValueError, match="outside 0..3"):
+        ProximityGraph.load(path)
 
 
 def test_raw_points_require_dimension():
