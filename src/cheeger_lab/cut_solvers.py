@@ -312,14 +312,11 @@ def _best_sweep_k(graph, order):
     n = graph.n
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    diff = np.zeros(n + 1, dtype=np.int64)
-    if len(graph.edges):
-        ri = rank[graph.edges[:, 0]]
-        rj = rank[graph.edges[:, 1]]
-        lo = np.minimum(ri, rj)
-        hi = np.maximum(ri, rj)
-        np.add.at(diff, lo + 1, 1)
-        np.add.at(diff, hi + 1, -1)
+    ri = rank[graph.edges[:, 0]]
+    rj = rank[graph.edges[:, 1]]
+    lo = np.minimum(ri, rj)
+    hi = np.maximum(ri, rj)
+    diff = np.bincount(lo + 1, minlength=n + 1) - np.bincount(hi + 1, minlength=n + 1)
     cut = np.cumsum(diff)[1:n]  # cut of prefix size k, k = 1..n-1
     vals = cheeger_ratio(cut, np.arange(1, n), n, graph.rescale)
     return int(np.argmin(vals)) + 1

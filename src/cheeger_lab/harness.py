@@ -97,7 +97,8 @@ def validate_config(source) -> ExperimentConfig:
             raw = json.load(fh)
     else:
         raw = dict(source)
-    # epsilon_by_n is derived, but accepted so that resolved() output validates
+    # schedule_meta and epsilon_by_n are derived; they are accepted so that
+    # resolved() output validates, and must then equal the derived values
     known = {f.name for f in fields(ExperimentConfig)} | {"epsilon_by_n"}
     errors = [f"unknown config key {k!r}" for k in sorted(set(raw) - known)]
     name = raw.get("manifold")
@@ -144,11 +145,16 @@ def validate_config(source) -> ExperimentConfig:
     cfg = ExperimentConfig(
         manifold=name, n_list=n_list, trials=trials, seed=seed, out=str(raw["out"]),
         solver=solver, epsilons=epsilons, epsilon_c=epsilon_c, epsilon_k=epsilon_k)
-    if cfg.epsilon_k is None:
-        cfg.epsilon_k = 3.0 / (2.0 + 4.0 * mf.m)
     cfg.schedule_meta = schedule_exponents(mf.m)
+    if cfg.epsilon_k is None:
+        cfg.epsilon_k = cfg.schedule_meta["k_eps"]
     if cfg.epsilons is not None and len(cfg.epsilons) != len(cfg.n_list):
         raise ConfigError(["epsilons must align with n_list"])
+    derived = {"schedule_meta": cfg.schedule_meta,
+               "epsilon_by_n": {str(n): cfg.epsilon(n) for n in cfg.n_list}}
+    for key, value in derived.items():
+        if key in raw and raw[key] != value:
+            errors.append(f"{key} {raw[key]!r} differs from the derived {value!r}")
     for n in cfg.n_list:
         eps = cfg.epsilon(n)
         if not (math.isfinite(eps) and eps > 0.0):
@@ -343,13 +349,13 @@ def _write_rates(path, cfg, records):
 
 def emit_plot_data(summary_path, kind, out_dir) -> dict:
     """Write TSV plot data and a self-contained SVG for a summary file."""
-    rows = _read_summary(summary_path)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     column = {"rate_loglog": "abs_error", "cut_error": "l1_cut_error",
               "concentration": "cheeger_ratio"}.get(kind)
     if column is None:
         raise ValueError(f"unknown plot kind {kind!r}")
+    rows = _read_summary(summary_path, column)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     by_n = {}
     for r in rows:
         by_n.setdefault(int(r["n"]), []).append(float(r[column]))
@@ -376,13 +382,13 @@ def emit_plot_data(summary_path, kind, out_dir) -> dict:
     return meta
 
 
-def _read_summary(summary_path):
+def _read_summary(summary_path, column):
     with open(summary_path, newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
     if not rows:
         raise MissingColumns("summary file has no data rows")
-    missing = [c for c in ("n",) if c not in rows[0]]
+    missing = [c for c in ("n", column) if c not in rows[0]]
     if missing:
         raise MissingColumns(f"summary missing columns: {missing}")
     return rows

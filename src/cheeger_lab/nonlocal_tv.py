@@ -14,8 +14,9 @@ more accurate latitude-band path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
                      UnsupportedDimension)
-from .manifold import Circle, FlatTorus2, ReferenceSet, Sphere2, SphereCap
+from .manifold import ReferenceSet, Sphere2, SphereCap
 from .quadrature import (QuadratureGrid, grid_for_scale, sphere_exp,
                          tangent_frames)
 
@@ -117,18 +118,11 @@ def tv_nonlocal(f: ContinuumFunction, h, grid: QuadratureGrid) -> float:
     if grid.spacing > h / 4.0 + 1e-12:
         raise ResolutionTooCoarse(
             f"grid spacing {grid.spacing:.4g} coarser than h/4 = {h / 4:.4g}")
-    if isinstance(mf, Circle):
-        values = f(grid.nodes)
-        return _tvh_circle(values, h, grid.lattice_shape[0])
-    if isinstance(mf, FlatTorus2):
-        values = f(grid.nodes).reshape(grid.lattice_shape)
-        return _tvh_torus(values, h, grid.lattice_shape[0])
     if isinstance(mf, Sphere2):
         if f.zonal_axis is not None:
             return _tvh_sphere_zonal(f, h, mf)
-        values = f(grid.nodes)
-        return _tvh_sphere_pairs(values, h, grid)
-    raise ValueError("unsupported manifold")
+        return _tvh_sphere_pairs(f(grid.nodes), h, grid)
+    return _tvh_lattice(f(grid.nodes).reshape(grid.lattice_shape), h)
 
 
 def _hat_cdf(x, center, s):
@@ -138,26 +132,18 @@ def _hat_cdf(x, center, s):
 
 
 @lru_cache(maxsize=64)
-def _circle_lag_weights(n, h):
-    """W(l) = int hat_l(z) 1_{|z|<=h} dz for lags l >= 1, times cell length."""
+def _circle_lag_pairs(n, h):
+    """Lags l >= 1, as (k, 1) offsets, with the folded weights 2 W(l).
+
+    W(l) = int hat_l(z) 1_{|z|<=h} dz times cell length; lags l and -l give
+    the same roll sum, so one roll serves both. Zero weights are dropped.
+    """
     s = 1.0 / n
     lmax = int(np.floor(h / s)) + 1
-    ls = np.arange(1, lmax + 1) * s
-    w = _hat_cdf(h, ls, s) - _hat_cdf(-h, ls, s)
-    return w  # shape (lmax,)
-
-
-def _tvh_circle(values, h, n):
-    s = 1.0 / n
-    w = _circle_lag_weights(n, h)
-    total = 0.0
-    for idx, wl in enumerate(w):
-        if wl == 0.0:
-            continue
-        l = idx + 1
-        sraw = np.abs(values - np.roll(values, -l)).sum()
-        total += s * sraw * wl
-    return 2.0 * total / h ** 2
+    ls = np.arange(1, lmax + 1)
+    w = _hat_cdf(h, ls * s, s) - _hat_cdf(-h, ls * s, s)
+    keep = w != 0.0
+    return ls[keep, None], 2.0 * w[keep]
 
 
 @lru_cache(maxsize=32)
@@ -207,14 +193,18 @@ def _torus_offset_pairs(n, h):
     return offs[keep], np.array(folded)
 
 
-def _tvh_torus(values, h, n):
-    s = 1.0 / n
-    offs, wts = _torus_offset_pairs(n, h)
+def _tvh_lattice(values, h):
+    """TV_h on the periodic n^m lattice: a weighted sum of roll differences."""
+    n, m = values.shape[0], values.ndim
+    offs, wts = (_circle_lag_pairs if m == 1 else _torus_offset_pairs)(n, h)
+    # (1/n)^m as a product of m factors; (1/n) ** 2 can round differently
+    cell = math.prod([1.0 / n] * m)
+    axes = tuple(range(m))
     total = 0.0
-    for (p, q), w in zip(offs, wts):
-        sraw = np.abs(values - np.roll(values, (-p, -q), axis=(0, 1))).sum()
-        total += s * s * sraw * w
-    return total / h ** 3
+    for off, w in zip(offs, wts):
+        sraw = np.abs(values - np.roll(values, -off, axis=axes)).sum()
+        total += cell * sraw * w
+    return total / h ** (m + 1)
 
 
 def _tvh_sphere_pairs(values, h, grid):
@@ -283,31 +273,15 @@ def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid, step=None):
     mf = grid.manifold
     if step is None:
         step = grid.spacing / 8.0
-    if isinstance(mf, Circle):
-        t = grid.intrinsic
-        fp = f(mf.to_ambient(t + step))
-        fm = f(mf.to_ambient(t - step))
-        return np.abs(fp - fm) / (2.0 * step)
-    if isinstance(mf, FlatTorus2):
-        uv = grid.intrinsic
-        comps = []
-        for axis in (0, 1):
-            d = np.zeros_like(uv)
-            d[:, axis] = step
-            fp = f(mf.to_ambient(uv + d))
-            fm = f(mf.to_ambient(uv - d))
-            comps.append((fp - fm) / (2.0 * step))
-        return np.hypot(comps[0], comps[1])
+    x = grid.intrinsic
     if isinstance(mf, Sphere2):
-        u = grid.intrinsic
-        e1, e2 = tangent_frames(mf, u)
-        comps = []
-        for e in (e1, e2):
-            fp = f(sphere_exp(mf, u, e, step))
-            fm = f(sphere_exp(mf, u, e, -step))
-            comps.append((fp - fm) / (2.0 * step))
-        return np.hypot(comps[0], comps[1])
-    raise ValueError("unsupported manifold")
+        ends = ((sphere_exp(mf, x, e, step), sphere_exp(mf, x, e, -step))
+                for e in tangent_frames(mf, x))
+    else:
+        ends = ((mf.to_ambient(x + step * e), mf.to_ambient(x - step * e))
+                for e in np.eye(mf.m))
+    comps = ((f(fwd) - f(back)) / (2.0 * step) for fwd, back in ends)
+    return reduce(np.hypot, comps, 0.0)
 
 
 def perimeter_reference(manifold, ref: ReferenceSet) -> float:

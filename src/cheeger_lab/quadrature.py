@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Circle, FlatTorus2, Sphere2, Manifold
+from .manifold import Manifold, Sphere2
 
 
 @dataclass
@@ -33,22 +33,17 @@ class QuadratureGrid:
         return float(np.dot(self.weights, values))
 
 
-def circle_grid(manifold: Circle, n: int) -> QuadratureGrid:
+def lattice_grid(manifold: Manifold, n: int) -> QuadratureGrid:
+    """Cell centres of the periodic n^m lattice on the circle or flat torus."""
+    m = manifold.m
     t = (np.arange(n) + 0.5) / n
-    nodes = manifold.to_ambient(t)
-    w = np.full(n, 1.0 / n)
-    return QuadratureGrid(manifold, nodes, w, spacing=1.0 / n, intrinsic=t,
-                          lattice_shape=(n,))
-
-
-def torus_grid(manifold: FlatTorus2, n: int) -> QuadratureGrid:
-    t = (np.arange(n) + 0.5) / n
-    uu, vv = np.meshgrid(t, t, indexing="ij")
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=1)
-    nodes = manifold.to_ambient(uv)
-    w = np.full(n * n, 1.0 / (n * n))
-    return QuadratureGrid(manifold, nodes, w, spacing=1.0 / n, intrinsic=uv,
-                          lattice_shape=(n, n))
+    axes = np.meshgrid(*[t] * m, indexing="ij")
+    coords = np.stack([a.ravel() for a in axes], axis=1)
+    intrinsic = coords[:, 0] if m == 1 else coords  # the circle's t stays 1-D
+    w = np.full(n ** m, 1.0 / n ** m)
+    return QuadratureGrid(manifold, manifold.to_ambient(intrinsic), w,
+                          spacing=1.0 / n, intrinsic=intrinsic,
+                          lattice_shape=(n,) * m)
 
 
 def sphere_grid(manifold: Sphere2, n_target: int) -> QuadratureGrid:
@@ -82,25 +77,21 @@ def build_grid(manifold, resolution) -> QuadratureGrid:
     ``resolution`` is the 1D subdivision count for circle/torus and the
     target node count for the sphere.
     """
-    if isinstance(manifold, Circle):
-        return circle_grid(manifold, resolution)
-    if isinstance(manifold, FlatTorus2):
-        return torus_grid(manifold, resolution)
     if isinstance(manifold, Sphere2):
         return sphere_grid(manifold, resolution)
-    raise ValueError("unsupported manifold")
+    return lattice_grid(manifold, resolution)
 
 
 def grid_for_scale(manifold, scale, factor=4):
     """Grid fine enough that spacing <= scale/factor."""
-    if isinstance(manifold, (Circle, FlatTorus2)):
-        n = int(np.ceil(factor / scale))
-        n += n % 2  # even subdivision keeps reference-set edges on cell lines
-        return build_grid(manifold, n)
-    # sphere: spacing ~ pi*r/n_bands and n_bands ~ sqrt(N*pi)/2
-    n_bands = int(np.ceil(np.pi * manifold.radius * factor / scale))
-    n_target = int(np.ceil(4.0 * n_bands * n_bands / np.pi))
-    return build_grid(manifold, n_target)
+    if isinstance(manifold, Sphere2):
+        # spacing ~ pi*r/n_bands and n_bands ~ sqrt(N*pi)/2
+        n_bands = int(np.ceil(np.pi * manifold.radius * factor / scale))
+        n_target = int(np.ceil(4.0 * n_bands * n_bands / np.pi))
+        return build_grid(manifold, n_target)
+    n = int(np.ceil(factor / scale))
+    n += n % 2  # even subdivision keeps reference-set edges on cell lines
+    return build_grid(manifold, n)
 
 
 def tangent_frames(manifold: Sphere2, unit_dirs):

@@ -47,6 +47,17 @@ def test_validate_config_collects_errors():
     assert "seed required" in msgs
 
 
+def test_validate_config_rejects_edited_derived_keys():
+    raw = {"manifold": "circle", "n_list": [100], "trials": 1, "seed": 0, "out": "x"}
+    echoed = validate_config(raw).resolved()
+    assert validate_config(echoed).resolved() == echoed
+    for key, edited in (("epsilon_by_n", {"100": 0.5}),
+                        ("schedule_meta", dict(echoed["schedule_meta"], k_eps=9))):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(dict(echoed, **{key: edited}))
+        assert len(exc.value.errors) == 1 and exc.value.errors[0].startswith(key)
+
+
 def test_validate_config_epsilon_limit_names_offender():
     with pytest.raises(ConfigError) as exc:
         validate_config({"manifold": "circle", "n_list": [8, 100], "trials": 1,
@@ -226,11 +237,16 @@ def test_emit_plot_data(tmp_path):
         emit_plot_data(res["summary_path"], "pie_chart", tmp_path / "plots")
 
 
-def test_emit_plot_data_missing_columns(tmp_path):
+def test_emit_plot_data_missing_columns(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n")
-    with pytest.raises(MissingColumns):
-        emit_plot_data(bad, "rate_loglog", tmp_path / "plots")
+    # no data rows; then rows without the plotted column abs_error
+    for text in ("a,b\n", "n,epsilon\n100,0.2\n"):
+        bad.write_text(text)
+        with pytest.raises(MissingColumns):
+            emit_plot_data(bad, "rate_loglog", tmp_path / "plots")
+        assert cli.main(["--out", str(tmp_path / "plots"), "plot", "--summary",
+                         str(bad), "--kind", "rate_loglog"]) == 3
+        assert "error: summary" in capsys.readouterr().err
 
 
 def test_failed_trial_keeps_traceback_out_of_digest(tmp_path, monkeypatch):

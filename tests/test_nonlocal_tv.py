@@ -301,25 +301,70 @@ def test_sphere_zonal_tvh_matches_dense_band_sum(h):
         assert tv_nonlocal(f, h, g) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
+def _lag_weight(n, h, lag):
+    """Unfolded W(l) = int hat_l(z) 1_{|z|<=h} dz for a signed circle lag."""
+    s = 1.0 / n
+    return nonlocal_tv._hat_cdf(h, lag * s, s) - nonlocal_tv._hat_cdf(-h, lag * s, s)
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2"])
 @pytest.mark.parametrize("h", [0.02, 0.05, 0.1])
-def test_torus_folded_offsets_match_full_roll_sum(h):
-    g = grid_for_scale(TORUS, h, 8)
+def test_lattice_folded_offsets_match_full_roll_sum(name, h):
+    mf = get_manifold(name)
+    g = grid_for_scale(mf, h, 8)
     n = g.lattice_shape[0]
     rng = np.random.default_rng(3)
-    lattices = [rng.standard_normal((n, n)),
-                indicator_function(TorusStrip(TORUS, axis=1, offset=0.3))(
-                    g.nodes).reshape(n, n)]
-    offs, wts = nonlocal_tv._torus_offset_weights(n, h)
-    folded, _ = nonlocal_tv._torus_offset_pairs(n, h)
+    ref = (CircleArc(mf, center=0.3) if name == "circle"
+           else TorusStrip(mf, axis=1, offset=0.3))
+    lattices = [rng.standard_normal(g.lattice_shape),
+                indicator_function(ref)(g.nodes).reshape(g.lattice_shape)]
+    if name == "circle":
+        # every lag l != 0 with its own weight, both signs rolled
+        lmax = int(np.floor(h * n)) + 1
+        offs = np.array([[l] for l in range(-lmax, lmax + 1) if l != 0])
+        wts = np.array([_lag_weight(n, h, l) for (l,) in offs])
+        folded, _ = nonlocal_tv._circle_lag_pairs(n, h)
+    else:
+        offs, wts = nonlocal_tv._torus_offset_weights(n, h)
+        folded, _ = nonlocal_tv._torus_offset_pairs(n, h)
     assert len(folded) < len(offs)
-    # every offset is rolled itself or through its mirror
-    covered = {(p, q) for p, q in folded.tolist()} | {(-p, -q) for p, q in folded.tolist()}
-    assert covered >= {(p, q) for p, q in offs.tolist()}
+    # every offset with a weight is rolled itself or through its mirror
+    covered = {tuple(o) for o in np.concatenate([folded, -folded]).tolist()}
+    assert covered >= {tuple(o) for o, w in zip(offs.tolist(), wts) if w > 0}
+    axes = tuple(range(mf.m))
     for v in lattices:
-        full = sum((1.0 / n) ** 2 * np.abs(v - np.roll(v, (-p, -q), axis=(0, 1))).sum() * w
-                   for (p, q), w in zip(offs, wts)) / h ** 3
+        full = sum((1.0 / n) ** mf.m * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
+                   for o, w in zip(offs, wts)) / h ** (mf.m + 1)
         assert full > 0
-        assert nonlocal_tv._tvh_torus(v, h, n) == pytest.approx(full, rel=1e-12, abs=0)
+        assert nonlocal_tv._tvh_lattice(v, h) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+_ANALYTIC_GRADIENTS = {
+    # f and |grad f| of the intrinsic coordinates: arc lengths on the circle
+    # and the torus, unit directions on the sphere of radius r
+    "circle": (lambda t: np.sin(2 * np.pi * t),
+               lambda t: 2 * np.pi * np.abs(np.cos(2 * np.pi * t))),
+    "flat_torus_2": (lambda uv: np.sin(2 * np.pi * uv[:, 0]) + np.cos(2 * np.pi * uv[:, 1]),
+                     lambda uv: 2 * np.pi * np.hypot(np.cos(2 * np.pi * uv[:, 0]),
+                                                     np.sin(2 * np.pi * uv[:, 1]))),
+    "sphere_2": (lambda u: u[:, 2],
+                 lambda u: np.sqrt(1.0 - u[:, 2] ** 2) / SPHERE.radius),
+}
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
+def test_gradient_norm_fd_matches_analytic_gradient(name):
+    mf = get_manifold(name)
+    f, grad = _ANALYTIC_GRADIENTS[name]
+    g = grid_for_scale(mf, 0.1, 4)
+    step = g.spacing / 8.0
+    fd = gradient_norm_fd(ContinuumFunction(evaluator=lambda p: f(mf.to_intrinsic(p))), g)
+    exact = grad(mf.to_intrinsic(g.nodes))
+    # central differences err by at most |f'''| step^2 / 6 per component;
+    # |f'''| <= (2 pi)^3 here (1/r^3 < (2 pi)^3 on the sphere), and two
+    # components add at most a factor sqrt(2)
+    assert np.max(np.abs(fd - exact)) <= (2 * np.pi) ** 3 * step ** 2 / 4
+    assert np.max(exact) > 1.0
 
 
 @pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
