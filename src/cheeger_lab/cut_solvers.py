@@ -10,15 +10,15 @@ The discrete Cheeger problem is NP-hard, so we provide:
   this upper-bounds the true minimum.
 
 Every solver scores a cut with ``proximity_graph.cheeger_ratio``, so a set
-and its complement score the same float. Subsets are stored canonically as the
+and its complement score the same float, and returns it through
+``result_from_subset``, which takes the certificate from ``CERTIFICATES``. Subsets are stored canonically as the
 side containing vertex 0, sorted. Among subsets with equal float value, ties
 go to the lexicographically smallest canonical subset.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,9 @@ LOBPCG_MAXITER = 10_000
 LOCAL_SEARCH_PASSES = 10
 ARC_BLOCK = 1 << 16  # int64 elements per block of the arc sweep's window scan
 
+# what a solver's cut is guaranteed to be; every solver not named is a heuristic
+CERTIFICATES = {"exact": "GlobalOptimum", "arc_sweep": "FamilyOptimum"}
+
 
 @dataclass
 class CutResult:
@@ -45,7 +48,6 @@ class CutResult:
     gtv: float
     balance: float
     solver: str
-    elapsed: float
     certificate: str            # GlobalOptimum | FamilyOptimum | Heuristic
     extras: dict = field(default_factory=dict)
 
@@ -57,18 +59,14 @@ def canonical_subset(n, subset):
     return np.flatnonzero(mask)
 
 
-def result_from_subset(graph, subset, solver, certificate, elapsed,
-                       extras=None) -> CutResult:
+def result_from_subset(graph, subset, solver, extras=None) -> CutResult:
     subset = canonical_subset(graph.n, subset)
     g, bal = cut_and_balance(graph, subset)
     val = objective(graph, subset)
     return CutResult(subset=subset, objective_value=val, gtv=g, balance=bal,
-                     solver=solver, certificate=certificate, elapsed=elapsed,
+                     solver=solver,
+                     certificate=CERTIFICATES.get(solver, "Heuristic"),
                      extras=extras or {})
-
-
-def _subset_key(subset):
-    return tuple(int(v) for v in subset)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +75,6 @@ def _subset_key(subset):
 
 def solve_exact(graph: ProximityGraph) -> CutResult:
     """Global optimum by enumerating all proper bipartitions up to complement."""
-    t0 = time.perf_counter()
     n = graph.n
     if n > EXACT_LIMIT:
         raise SizeLimitExceeded(f"exact solver limited to n <= {EXACT_LIMIT}, got {n}")
@@ -92,18 +89,13 @@ def solve_exact(graph: ProximityGraph) -> CutResult:
     chunk = 1 << 20
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        # popcount of members among vertices 1..n-1, plus vertex 0
-        size = np.ones(len(ids), dtype=np.int64)
+        # bit v of the mask is vertex v's membership; vertex 0 is always in
+        masks = (ids << 1) | 1
+        bits = [(masks >> v) & 1 for v in range(n)]
+        size = sum(bits)
         cut = np.zeros(len(ids), dtype=np.int64)
-        bits = {}
-        for v in range(1, n):
-            bits[v] = ((ids >> (v - 1)) & 1).astype(np.int64)
-            size += bits[v]
-        ones = np.ones(len(ids), dtype=np.int64)
         for i, j in edges:
-            bi = ones if i == 0 else bits[i]
-            bj = ones if j == 0 else bits[j]
-            cut += bi ^ bj
+            cut += bits[i] ^ bits[j]
         vals = cheeger_ratio(cut, size, n, scale)
         cmin = vals.min()
         if cmin < best_val:
@@ -113,9 +105,7 @@ def solve_exact(graph: ProximityGraph) -> CutResult:
             best_ids = np.concatenate([best_ids, ids[vals == cmin]])
     best_id = _lex_min_id(best_ids, n)
     subset = _id_to_subset(best_id, n)
-    return result_from_subset(graph, subset, solver="exact",
-                              certificate="GlobalOptimum",
-                              elapsed=time.perf_counter() - t0)
+    return result_from_subset(graph, subset, solver="exact")
 
 
 def _id_to_subset(idx, n):
@@ -165,7 +155,6 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     the doubled order; that middle range is scanned in windows, the lengths
     below and above it step the recurrence.
     """
-    t0 = time.perf_counter()
     if graph.cloud is None or not isinstance(graph.cloud.manifold, Circle):
         raise WrongManifold("arc sweep requires a graph built on a Circle cloud")
     n = graph.n
@@ -221,9 +210,7 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
         k += 1
     k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, graph.rescale))) + 1
     subset = order[(start[k - 1] + np.arange(k)) % n]
-    return result_from_subset(graph, subset, solver="arc_sweep",
-                              certificate="FamilyOptimum",
-                              elapsed=time.perf_counter() - t0)
+    return result_from_subset(graph, subset, solver="arc_sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +270,6 @@ def fiedler_vector(graph: ProximityGraph):
 
 def solve_spectral_sweep(graph: ProximityGraph) -> CutResult:
     """Best Cheeger ratio among the n-1 threshold cuts of the Fiedler vector."""
-    t0 = time.perf_counter()
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -292,19 +278,13 @@ def solve_spectral_sweep(graph: ProximityGraph) -> CutResult:
     reached = csgraph.breadth_first_order(graph.adjacency, 0, directed=True,
                                           return_predecessors=False)
     if len(reached) < n:
-        return result_from_subset(graph, np.sort(reached),
-                                  solver="spectral_sweep", certificate="Heuristic",
-                                  elapsed=time.perf_counter() - t0,
+        return result_from_subset(graph, reached, solver="spectral_sweep",
                                   extras={"disconnected": True})
     v, res = fiedler_vector(graph)
     order = np.argsort(v, kind="stable")
-    k = _best_sweep_k(graph, order)
-    subset = order[:k]
-    out = result_from_subset(graph, subset, solver="spectral_sweep",
-                             certificate="Heuristic",
-                             elapsed=time.perf_counter() - t0,
-                             extras={"eigen_residual": res})
-    return out
+    return result_from_subset(graph, order[:_best_sweep_k(graph, order)],
+                              solver="spectral_sweep",
+                              extras={"eigen_residual": res})
 
 
 def _best_sweep_k(graph, order):
@@ -328,7 +308,6 @@ def _best_sweep_k(graph, order):
 
 def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
     """Greedy best single-vertex moves on the Cheeger ratio."""
-    t0 = time.perf_counter()
     n = graph.n
     mask = _as_mask(n, start.subset)
     A = graph.adjacency
@@ -372,8 +351,6 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
     if moves == 0:
         return start
     out = result_from_subset(graph, mask, solver="local_search",
-                             certificate="Heuristic",
-                             elapsed=time.perf_counter() - t0,
                              extras={"moves": moves, "start": start.solver})
     # the search never worsens the start
     if out.objective_value > start.objective_value:
@@ -387,7 +364,6 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 
 def solve_pipeline(graph: ProximityGraph) -> CutResult:
     """Default estimator: spectral (+ arc) sweep, then local search."""
-    t0 = time.perf_counter()
     candidates = []
     degraded = False
     eigen_residual = None  # stays None when the solve fails or is not needed
@@ -401,13 +377,10 @@ def solve_pipeline(graph: ProximityGraph) -> CutResult:
         candidates.append(solve_arc_sweep(graph))
     if not candidates:
         # spectral failed and no arc structure: fall back to a trivial start
-        candidates.append(result_from_subset(graph, [0], solver="fallback",
-                                             certificate="Heuristic", elapsed=0.0))
+        candidates.append(result_from_subset(graph, [0], solver="fallback"))
     # a search that moves nothing returns its start, whose solver then wins
     refined = [refine_local_search(graph, c) for c in candidates]
-    best = min(refined, key=lambda r: (r.objective_value, _subset_key(r.subset)))
-    return CutResult(subset=best.subset, objective_value=best.objective_value,
-                     gtv=best.gtv, balance=best.balance, solver="pipeline",
-                     elapsed=time.perf_counter() - t0, certificate="Heuristic",
-                     extras={"degraded": degraded, "winner": best.solver,
-                             "eigen_residual": eigen_residual, **best.extras})
+    best = min(refined, key=lambda r: (r.objective_value, r.subset.tolist()))
+    return replace(best, solver="pipeline", certificate="Heuristic",
+                   extras={"degraded": degraded, "winner": best.solver,
+                           "eigen_residual": eigen_residual, **best.extras})

@@ -76,15 +76,29 @@ class ProximityGraph:
         path = Path(path)
         with open(path.with_suffix(path.suffix + ".json")) as fh:
             meta = json.load(fh)
+        n, eps, m = meta["n"], meta["epsilon"], meta["m"]
+        # the checks of build_graph, plus those of the cloud and the edge list
+        if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+            raise ValueError(f"{path}: epsilon must be a positive finite number, "
+                             f"got {eps!r}")
+        if not (isinstance(m, int) and m > 0):
+            raise ValueError(f"{path}: m must be a positive integer, got {m!r}")
+        if cloud is not None and cloud.points.shape[0] != n:
+            raise ValueError(f"{path}: the cloud has {cloud.points.shape[0]} "
+                             f"points, the graph n = {n}")
         raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
         # i < j and lexicographic order, as `adjacency` reads rows off the list
         edges = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0)
         # `adjacency` builds its CSR without checking the indices
-        if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= meta["n"]):
-            raise ValueError(f"{path}: edge index outside 0..{meta['n'] - 1}")
-        points = cloud.points if cloud is not None else np.zeros((meta["n"], 1))
-        return ProximityGraph(points=points, epsilon=meta["epsilon"],
-                              m=meta["m"], edges=edges, cloud=cloud)
+        if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= n):
+            raise ValueError(f"{path}: edge index outside 0..{n - 1}")
+        # a loop would count once in the degree but twice in the adjacency
+        loops = edges[edges[:, 0] == edges[:, 1], 0]
+        if len(loops):
+            raise ValueError(f"{path}: self loop at vertex {int(loops[0])}")
+        points = cloud.points if cloud is not None else np.zeros((n, 1))
+        return ProximityGraph(points=points, epsilon=eps, m=m, edges=edges,
+                              cloud=cloud)
 
 
 def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:

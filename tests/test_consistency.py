@@ -346,7 +346,7 @@ def test_cut_l1_complement_invariance():
     e1 = cut_l1_error(res, cloud, ref, grid=grid)
     comp = CutResult(subset=np.setdiff1d(np.arange(200), res.subset),
                      objective_value=res.objective_value, gtv=res.gtv,
-                     balance=res.balance, solver=res.solver, elapsed=0.0,
+                     balance=res.balance, solver=res.solver,
                      certificate=res.certificate)
     e2 = cut_l1_error(comp, cloud, ref, grid=grid)
     assert e1.l1_error == pytest.approx(e2.l1_error, abs=1e-9)

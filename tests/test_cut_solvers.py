@@ -5,15 +5,18 @@ import pytest
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from cheeger_lab.errors import SizeLimitExceeded, WrongManifold
+from cheeger_lab import cut_solvers
+from cheeger_lab.errors import (EigenNotConverged, SizeLimitExceeded,
+                                WrongManifold)
 from cheeger_lab.manifold import PointCloud, get_manifold
 from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
-                                        cheeger_ratio, objective)
-from cheeger_lab.cut_solvers import (LOBPCG_TOL, _best_sweep_k,
+                                        cheeger_ratio, cut_and_balance,
+                                        objective)
+from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_TOL, _best_sweep_k,
                                      canonical_subset, fiedler_vector,
-                                     refine_local_search, solve_arc_sweep,
-                                     solve_exact, solve_pipeline,
-                                     solve_spectral_sweep)
+                                     refine_local_search, result_from_subset,
+                                     solve_arc_sweep, solve_exact,
+                                     solve_pipeline, solve_spectral_sweep)
 
 
 def grid_circle_cloud(n):
@@ -312,3 +315,49 @@ def test_spectral_sweep_on_degenerate_coordinates(d):
     res = solve_spectral_sweep(g)
     assert res.extras["eigen_residual"] <= LOBPCG_TOL
     assert np.array_equal(res.subset, dense_sweep_subset(g))
+
+
+def _failing_eigen_solve(graph):
+    raise EigenNotConverged("forced failure")
+
+
+@pytest.mark.parametrize("path", ["exact", "arc", "spectral", "disconnected",
+                                  "local_search", "pipeline", "fallback"])
+def test_every_result_path_scores_and_certifies_its_cut(path, monkeypatch):
+    circle = get_manifold("circle").sample(60, seed=5)
+    torus = get_manifold("flat_torus_2").sample(200, seed=3)
+    # three far clusters of four points
+    clusters = (np.repeat([0.0, 10.0, 20.0], 4) + np.arange(12) * 1e-3)[:, None]
+    if path == "exact":
+        g = build_graph(get_manifold("circle").sample(14, seed=3), 0.25)
+        res = solve_exact(g)
+    elif path == "arc":
+        g = build_graph(circle, 0.15)
+        res = solve_arc_sweep(g)
+    elif path == "spectral":
+        g = build_graph(torus, 0.25)
+        res = solve_spectral_sweep(g)
+        assert "eigen_residual" in res.extras
+    elif path == "disconnected":
+        g = build_graph(clusters, 0.1, m=1)
+        res = solve_spectral_sweep(g)
+        assert res.extras["disconnected"]
+    elif path == "local_search":
+        g = build_graph(circle, 0.15)
+        res = refine_local_search(g, result_from_subset(g, [0], "fallback"))
+        assert res.solver == "local_search" and res.extras["moves"] > 0
+    elif path == "pipeline":
+        g = build_graph(torus, 0.25)
+        res = solve_pipeline(g)
+        assert not res.extras["degraded"]
+    else:
+        # the eigen solve fails on a torus cloud: no arc candidate either
+        monkeypatch.setattr(cut_solvers, "fiedler_vector", _failing_eigen_solve)
+        g = build_graph(torus, 0.25)
+        res = solve_pipeline(g)
+        assert res.extras["degraded"]
+        assert res.extras["winner"] in ("fallback", "local_search")
+        assert res.extras["eigen_residual"] is None
+    assert res.certificate == CERTIFICATES.get(res.solver, "Heuristic")
+    assert (res.gtv, res.balance) == cut_and_balance(g, res.subset)
+    assert res.objective_value == objective(g, res.subset)

@@ -59,10 +59,14 @@ def test_validate_config_rejects_edited_derived_keys():
 
 
 def test_validate_config_epsilon_limit_names_offender():
-    with pytest.raises(ConfigError) as exc:
-        validate_config({"manifold": "circle", "n_list": [8, 100], "trials": 1,
-                         "seed": 0, "out": "x"})
-    assert any("n=8" in e for e in exc.value.errors)
+    for n_list, offender in (
+            ([8, 100], "n=8"),
+            # a repeated n would run its trials twice and skip its second epsilon
+            ([100, 100, 200, 400], "n_list repeats n: [100]")):
+        with pytest.raises(ConfigError) as exc:
+            validate_config({"manifold": "circle", "n_list": n_list, "trials": 1,
+                             "seed": 0, "out": "x"})
+        assert any(offender in e for e in exc.value.errors), exc.value.errors
 
 
 @pytest.mark.parametrize("overrides,offender", [
@@ -313,6 +317,9 @@ def test_cli_exit_codes(tmp_path):
     graph = tmp_path / "bad.csv"
     graph.write_text("i,j\n0,1\n1,7\n")
     (tmp_path / "bad.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    assert cli.main(["solve", "--graph", str(graph)]) == 3
+    # so is a self loop, which would leave L·1 != 0
+    graph.write_text("i,j\n0,1\n1,1\n")
     assert cli.main(["solve", "--graph", str(graph)]) == 3
 
 

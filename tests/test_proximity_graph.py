@@ -1,9 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheeger_lab import cli
 from cheeger_lab.manifold import get_manifold
 from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                          cheeger_ratio, cut_and_balance,
@@ -205,6 +209,52 @@ def test_load_rejects_edge_index_out_of_range(tmp_path, rows):
     (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
     with pytest.raises(ValueError, match="outside 0..3"):
         ProximityGraph.load(path)
+
+
+def test_load_rejects_a_self_loop(tmp_path):
+    # kept, the loop counts once in degrees[2] but twice in adjacency[2, 2]
+    path = tmp_path / "graph.csv"
+    path.write_text("i,j\n0,1\n2,2\n1,2\n")
+    (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    with pytest.raises(ValueError, match="self loop at vertex 2"):
+        ProximityGraph.load(path)
+
+
+def _saved_graph(tmp_path, **meta):
+    """A saved 30-point circle graph whose sidecar takes `meta` over."""
+    cloud = get_manifold("circle").sample(30, seed=2)
+    path = tmp_path / "graph.csv"
+    build_graph(cloud, 0.2).save(path)
+    side = tmp_path / "graph.csv.json"
+    side.write_text(json.dumps({**json.loads(side.read_text()), **meta}))
+    return path, cloud
+
+
+@pytest.mark.parametrize("eps", [0, -0.1, float("inf"), float("nan"), "0.2", None])
+def test_load_rejects_a_sidecar_epsilon_that_is_not_positive_finite(tmp_path, eps):
+    path, _ = _saved_graph(tmp_path, epsilon=eps)
+    with pytest.raises(ValueError, match=f"epsilon must be a positive finite "
+                                         f"number, got {re.escape(repr(eps))}"):
+        ProximityGraph.load(path)
+    # an input error, not a ZeroDivisionError out of the rescaling
+    assert cli.main(["solve", "--graph", str(path), "--method", "spectral"]) == 3
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, "1", None])
+def test_load_rejects_a_sidecar_m_that_is_not_a_positive_integer(tmp_path, m):
+    path, _ = _saved_graph(tmp_path, m=m)
+    with pytest.raises(ValueError, match=f"m must be a positive integer, "
+                                         f"got {re.escape(repr(m))}"):
+        ProximityGraph.load(path)
+
+
+def test_load_rejects_a_cloud_of_another_size(tmp_path):
+    path, cloud = _saved_graph(tmp_path, n=50)
+    with pytest.raises(ValueError, match="the cloud has 30 points, the graph n = 50"):
+        ProximityGraph.load(path, cloud=cloud)
+    cloud.save(tmp_path / "cloud.csv")
+    assert cli.main(["solve", "--graph", str(path),
+                     "--cloud", str(tmp_path / "cloud.csv")]) == 3
 
 
 def test_raw_points_require_dimension():
