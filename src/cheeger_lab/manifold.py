@@ -60,12 +60,33 @@ class PointCloud:
     @staticmethod
     def load(path):
         path = Path(path)
-        with open(path.with_suffix(path.suffix + ".json")) as fh:
-            meta = json.load(fh)
+        meta = read_sidecar(path, ("seed", "manifold"))
+        if not is_int(meta["seed"]):
+            raise ValueError(f"{path}: seed must be an integer, got {meta['seed']!r}")
+        if not isinstance(meta["manifold"], str):
+            raise ValueError(f"{path}: manifold must be a name, "
+                             f"got {meta['manifold']!r}")
         pts = np.loadtxt(path, delimiter=",", skiprows=1)
         pts = np.atleast_2d(pts)[:, 1:]
-        return PointCloud(points=pts, seed=int(meta["seed"]),
+        return PointCloud(points=pts, seed=meta["seed"],
                           manifold=get_manifold(meta["manifold"]))
+
+
+def read_sidecar(path, keys):
+    """The JSON object saved next to `path`, checked to hold every key."""
+    with open(path.with_suffix(path.suffix + ".json")) as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: the sidecar is not a JSON object")
+    for key in keys:
+        if key not in meta:
+            raise ValueError(f"{path}: the sidecar has no {key!r}")
+    return meta
+
+
+def is_int(v):
+    """True for an integer, False for a bool (JSON `true` loads as one)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class Manifold:

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
@@ -100,6 +98,8 @@ class SmoothingKernel:
 
 @lru_cache(maxsize=None)
 def _bump_mass_constant(m):
+    # imported here: scipy.integrate costs every `import cheeger_lab` ~0.1 s
+    from scipy.integrate import quad
     surf = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[m]
     integral, _ = quad(lambda t: np.exp(-1.0 / (1.0 - t * t)) * t ** (m - 1),
                        0.0, 1.0, limit=200)
@@ -436,6 +436,8 @@ def cheeger_functional_form(f: ContinuumFunction, grid: QuadratureGrid) -> float
         raise ValueError("functional form requires f in [0, 1]")
     if vals.max() - vals.min() < 1e-12:
         raise DegenerateFunction("function is essentially constant")
+    # imported here: scipy.optimize costs every `import cheeger_lab` ~0.1 s
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(lambda c: float(np.dot(grid.weights, np.abs(vals - c))),
                           bounds=(0.0, 1.0), method="bounded",
                           options={"xatol": 1e-10})

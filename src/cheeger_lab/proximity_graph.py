@@ -23,6 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from .manifold import is_int, read_sidecar
+
 
 @dataclass
 class ProximityGraph:
@@ -74,15 +76,17 @@ class ProximityGraph:
     @staticmethod
     def load(path, cloud=None):
         path = Path(path)
-        with open(path.with_suffix(path.suffix + ".json")) as fh:
-            meta = json.load(fh)
+        meta = read_sidecar(path, ("n", "epsilon", "m"))
         n, eps, m = meta["n"], meta["epsilon"], meta["m"]
         # the checks of build_graph, plus those of the cloud and the edge list
-        if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
+        for key, value in (("n", n), ("m", m)):
+            if not (is_int(value) and value > 0):
+                raise ValueError(f"{path}: {key} must be a positive integer, "
+                                 f"got {value!r}")
+        if not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
+                and math.isfinite(eps) and eps > 0):
             raise ValueError(f"{path}: epsilon must be a positive finite number, "
                              f"got {eps!r}")
-        if not (isinstance(m, int) and m > 0):
-            raise ValueError(f"{path}: m must be a positive integer, got {m!r}")
         if cloud is not None and cloud.points.shape[0] != n:
             raise ValueError(f"{path}: the cloud has {cloud.points.shape[0]} "
                              f"points, the graph n = {n}")
@@ -127,11 +131,16 @@ def _edges_kdtree(points, eps):
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    # pairs have i < j; one sort of the key i*n + j is the lexicographic order
-    key = pairs[:, 0] * n
-    key += pairs[:, 1]
+    # pairs have i < j; one sort of the key i*n + j is the lexicographic order,
+    # kept in the narrowest unsigned type that holds n^2 (uint32 below n = 2^16)
+    dtype = np.min_scalar_type(n * n)
+    key = pairs[:, 0].astype(dtype)
+    key *= n
+    key += pairs[:, 1].astype(dtype)
     key.sort()
-    return np.stack(np.divmod(key, n), axis=1)
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +154,10 @@ def gtv(graph: ProximityGraph, u) -> float:
         raise ValueError("vertex function length mismatch")
     if not len(graph.edges):
         return 0.0
-    # fixed edge order, compensated summation; factor 2 for the ordered sum
+    # fixed edge order, exactly rounded sum read straight from the array's
+    # buffer; factor 2 for the ordered sum
     terms = np.abs(u[graph.edges[:, 0]] - u[graph.edges[:, 1]])
-    return 2.0 * graph.rescale * math.fsum(terms.tolist())
+    return 2.0 * graph.rescale * math.fsum(memoryview(terms))
 
 
 def cut_size(graph: ProximityGraph, subset) -> int:

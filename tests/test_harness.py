@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +323,21 @@ def test_cli_exit_codes(tmp_path):
     # so is a self loop, which would leave L·1 != 0
     graph.write_text("i,j\n0,1\n1,1\n")
     assert cli.main(["solve", "--graph", str(graph)]) == 3
+    # and a sidecar without m, which used to end in a KeyError
+    graph.write_text("i,j\n0,1\n1,2\n")
+    (tmp_path / "bad.csv.json").write_text('{"n": 4, "epsilon": 0.5}')
+    assert cli.main(["solve", "--graph", str(graph)]) == 3
+
+
+def test_import_leaves_integrate_and_optimize_unloaded():
+    # both are imported by the one function that needs each, not at startup
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cheeger_lab; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_validate_echoes_defaults(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,22 @@ def test_pointcloud_save_load_roundtrip(tmp_path):
     assert back.seed == 9
     assert back.manifold.name == "sphere_2"
     assert np.allclose(back.points, cloud.points, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("meta,message", [
+    ({"manifold": "circle", "n": 3}, "the sidecar has no 'seed'"),
+    ({"n": 3, "seed": 1}, "the sidecar has no 'manifold'"),
+    ({"manifold": "circle", "n": 3, "seed": None}, "seed must be an integer, got None"),
+    ({"manifold": "circle", "n": 3, "seed": True}, "seed must be an integer, got True"),
+    ({"manifold": 3, "n": 3, "seed": 1}, "manifold must be a name, got 3"),
+    ("circle", "the sidecar is not a JSON object"),
+])
+def test_pointcloud_load_checks_the_sidecar_keys(tmp_path, meta, message):
+    path = tmp_path / "cloud.csv"
+    path.write_text("i,x0,x1\n0,0.1,0.0\n1,0.0,0.1\n2,-0.1,0.0\n")
+    (tmp_path / "cloud.csv.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PointCloud.load(path)
 
 
 def test_reference_set_volumes_by_quadrature():

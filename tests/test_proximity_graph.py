@@ -1,17 +1,20 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheeger_lab import cli
 from cheeger_lab.manifold import get_manifold
-from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
-                                         cheeger_ratio, cut_and_balance,
-                                         cut_size, gtv, objective)
+from cheeger_lab.proximity_graph import (ProximityGraph, _edges_kdtree,
+                                         build_graph, cheeger_ratio,
+                                         cut_and_balance, cut_size, gtv,
+                                         objective)
 
 
 def brute_edges(points, eps):
@@ -48,6 +51,39 @@ def test_gtv_matches_brute_force():
         g = build_graph(cloud, 0.09)
         u = rng.standard_normal(150)
         assert abs(gtv(g, u) - brute_gtv(cloud.points, 0.09, 1, u)) < 1e-12
+
+
+@pytest.mark.parametrize("name,eps", [("circle", 0.05), ("flat_torus_2", 0.15),
+                                      ("sphere_2", 0.12)])
+def test_gtv_is_the_exactly_rounded_sum_of_its_terms(name, eps):
+    # fsum reads the same floats, in edge order, from the buffer as from a list
+    g = build_graph(get_manifold(name).sample(400, seed=7), eps)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        u = rng.standard_normal(g.n) * 1e3 + rng.random(g.n)
+        terms = np.abs(u[g.edges[:, 0]] - u[g.edges[:, 1]])
+        assert gtv(g, u) == 2.0 * g.rescale * math.fsum(terms.tolist())
+
+
+def _int64_key_edges(points, eps):
+    """The canonical edge order from an int64 key i*n + j."""
+    n = len(points)
+    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
+    key = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    return np.stack(np.divmod(key, n), axis=1)
+
+
+# uint8 up to n = 15, uint16 up to 255, uint32 up to 65 535, then uint64
+@pytest.mark.parametrize("n,eps", [(2, 1.0), (16, 0.5), (255, 0.1), (256, 0.1),
+                                   (4000, 0.03), (70_000, 2e-6)])
+def test_edge_key_in_the_narrowest_type_keeps_the_int64_order(n, eps):
+    points = get_manifold("circle").sample(n, seed=n).points
+    got = _edges_kdtree(points, eps)
+    want = _int64_key_edges(points, eps)
+    assert got.dtype == np.int64
+    assert len(got) and np.array_equal(got, want)
+    if n > 65_535:  # keys above 2^32 occur, so a 32-bit key would wrap
+        assert got[-1, 0] * n + got[-1, 1] >= 2 ** 32
 
 
 def test_collinear_oracle():
@@ -230,7 +266,8 @@ def _saved_graph(tmp_path, **meta):
     return path, cloud
 
 
-@pytest.mark.parametrize("eps", [0, -0.1, float("inf"), float("nan"), "0.2", None])
+@pytest.mark.parametrize("eps", [0, -0.1, float("inf"), float("nan"), "0.2", None,
+                                 True])
 def test_load_rejects_a_sidecar_epsilon_that_is_not_positive_finite(tmp_path, eps):
     path, _ = _saved_graph(tmp_path, epsilon=eps)
     with pytest.raises(ValueError, match=f"epsilon must be a positive finite "
@@ -240,11 +277,29 @@ def test_load_rejects_a_sidecar_epsilon_that_is_not_positive_finite(tmp_path, ep
     assert cli.main(["solve", "--graph", str(path), "--method", "spectral"]) == 3
 
 
-@pytest.mark.parametrize("m", [0, -1, 1.5, "1", None])
+@pytest.mark.parametrize("m", [0, -1, 1.5, "1", None, True])
 def test_load_rejects_a_sidecar_m_that_is_not_a_positive_integer(tmp_path, m):
     path, _ = _saved_graph(tmp_path, m=m)
     with pytest.raises(ValueError, match=f"m must be a positive integer, "
                                          f"got {re.escape(repr(m))}"):
+        ProximityGraph.load(path)
+
+
+@pytest.mark.parametrize("meta,message", [
+    ({"epsilon": 0.5, "m": 1}, "the sidecar has no 'n'"),
+    ({"n": 4, "m": 1}, "the sidecar has no 'epsilon'"),
+    ({"n": 4, "epsilon": 0.5}, "the sidecar has no 'm'"),
+    ({"n": 4.5, "epsilon": 0.5, "m": 1}, "n must be a positive integer, got 4.5"),
+    ({"n": "4", "epsilon": 0.5, "m": 1}, "n must be a positive integer, got '4'"),
+    ({"n": True, "epsilon": 0.5, "m": 1}, "n must be a positive integer, got True"),
+    ({"n": 0, "epsilon": 0.5, "m": 1}, "n must be a positive integer, got 0"),
+    ([4, 0.5, 1], "the sidecar is not a JSON object"),
+])
+def test_load_checks_the_sidecar_keys_before_it_reads_them(tmp_path, meta, message):
+    path = tmp_path / "graph.csv"
+    path.write_text("i,j\n0,1\n")
+    (tmp_path / "graph.csv.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(message)):
         ProximityGraph.load(path)
 
 
