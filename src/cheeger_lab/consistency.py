@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
 from .manifold import (CheegerReference, Circle, FlatTorus2, PointCloud,
-                       Sphere2, _wrap)
+                       Sphere2, _wrap, tree_coords)
 from .nonlocal_tv import ContinuumFunction, SmoothingKernel, smooth, surface_tension
 from .proximity_graph import build_graph, gtv
 from .quadrature import QuadratureGrid, tangent_frames
@@ -66,26 +66,15 @@ class TransportSurrogate:
 _TIE = 1e-12  # geodesic distances this close to the nearest one are ties
 
 
-def _tree_coords(manifold, points):
-    """Coordinates in which a k-d tree's distance order is the geodesic order:
-    intrinsic ones in the periodic unit box on the circle and the torus,
-    ambient ones (chords) on the sphere."""
-    if isinstance(manifold, Sphere2):
-        return points
-    t = manifold.to_intrinsic(points).reshape(len(points), -1)
-    t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
-    return t
-
-
 def transport_assign(cloud: PointCloud, nodes) -> TransportSurrogate:
     """Exact geodesic-nearest sample assignment (ties to smallest index)."""
     grid = nodes if isinstance(nodes, QuadratureGrid) else None
     pts = grid.nodes if grid is not None else np.atleast_2d(np.asarray(nodes, float))
     mf = cloud.manifold
     samples = cloud.points
-    tree = cKDTree(_tree_coords(mf, samples),
-                   boxsize=None if isinstance(mf, Sphere2) else 1.0)
-    x = _tree_coords(mf, pts)
+    coords, box = tree_coords(mf, samples)
+    tree = cKDTree(coords, boxsize=box)
+    x = tree_coords(mf, pts)[0]
     d, idx = tree.query(x, k=2)
     assignment = idx[:, 0].copy()
     # the second nearest sample may tie; then take the smallest index among

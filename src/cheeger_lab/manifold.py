@@ -22,6 +22,9 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# farthest a loaded cloud's point may lie from its manifold; sampled points
+# lie within a few ulps, and `save` writes them with every digit
+ON_MANIFOLD_TOL = 1e-9
 
 
 def _wrap(x):
@@ -60,16 +63,26 @@ class PointCloud:
     @staticmethod
     def load(path):
         path = Path(path)
-        meta = read_sidecar(path, ("seed", "manifold"))
+        meta = read_sidecar(path, ("seed", "manifold", "n"))
         if not is_int(meta["seed"]):
             raise ValueError(f"{path}: seed must be an integer, got {meta['seed']!r}")
         if not isinstance(meta["manifold"], str):
             raise ValueError(f"{path}: manifold must be a name, "
                              f"got {meta['manifold']!r}")
-        pts = np.loadtxt(path, delimiter=",", skiprows=1)
-        pts = np.atleast_2d(pts)[:, 1:]
-        return PointCloud(points=pts, seed=meta["seed"],
-                          manifold=get_manifold(meta["manifold"]))
+        if not is_int(meta["n"]):
+            raise ValueError(f"{path}: n must be an integer, got {meta['n']!r}")
+        mf = get_manifold(meta["manifold"])
+        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        # the solvers and certificates trust the label, so the points must fit it
+        if pts.shape[1] != mf.d:
+            raise ValueError(f"{path}: {pts.shape[1]} coordinates a point, "
+                             f"the {mf.name} has {mf.d}")
+        if len(pts) != meta["n"]:
+            raise ValueError(f"{path}: {len(pts)} points, the sidecar n = {meta['n']}")
+        off = float(mf.on_manifold_residual(pts).max(initial=0.0))
+        if off > ON_MANIFOLD_TOL:
+            raise ValueError(f"{path}: a point lies {off:.3g} off the {mf.name}")
+        return PointCloud(points=pts, seed=meta["seed"], manifold=mf)
 
 
 def read_sidecar(path, keys):
@@ -272,6 +285,23 @@ class Sphere2(Manifold):
     def chord(self, r):
         """Ambient length of the chord of a geodesic distance r (capped at pi R)."""
         return 2.0 * self.radius * np.sin(min(r / self.radius, np.pi) / 2.0)
+
+    def arc(self, chord):
+        """Geodesic distance of ambient chords of length `chord`; inverts `chord`."""
+        return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
+
+
+def tree_coords(manifold, points):
+    """(coords, boxsize) in which a k-d tree's distance is monotone in the
+    geodesic one: intrinsic coordinates in the periodic unit box on the circle
+    and the torus, where it is the geodesic distance, and ambient ones on the
+    sphere, where it is the chord (``Sphere2.arc`` turns it into the geodesic).
+    """
+    if isinstance(manifold, Sphere2):
+        return points, None
+    t = manifold.to_intrinsic(points).reshape(len(points), -1)
+    t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
+    return t, 1.0
 
 
 _REGISTRY = {

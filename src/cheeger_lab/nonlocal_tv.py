@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
                      UnsupportedDimension)
-from .manifold import ReferenceSet, Sphere2, SphereCap
+from .manifold import ReferenceSet, Sphere2, SphereCap, tree_coords
 from .quadrature import (QuadratureGrid, grid_for_scale, sphere_exp,
                          tangent_frames)
 
@@ -295,9 +295,9 @@ def perimeter_reference(manifold, ref: ReferenceSet) -> float:
 # Smoothing operator
 # ---------------------------------------------------------------------------
 
-# Kernel pairs per evaluator block of `smooth`. A block's arrays take about
-# 100-150 bytes a pair, so this bounds the evaluator's memory whatever the
-# number of evaluation points.
+# Kernel pairs per evaluator block of `smooth`. A block's numpy arrays take
+# about 50 bytes a pair at their peak, so this bounds the evaluator's memory
+# whatever the number of evaluation points.
 _BLOCK_PAIRS = 1_000_000
 
 
@@ -312,23 +312,26 @@ def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
         raise ResolutionTooCoarse(
             f"grid spacing {grid.spacing:.4g} coarser than a/4 = {a / 4:.4g}")
     node_vals = f(grid.nodes)
-    node_tree = cKDTree(grid.nodes)
-    node_coords = mf.to_intrinsic(grid.nodes)
+    sphere = isinstance(mf, Sphere2)
+    node_coords, box = tree_coords(mf, grid.nodes)
+    node_tree = cKDTree(node_coords, boxsize=box)
+    # the tree measures the geodesic distance on the circle and the torus,
+    # the chord on the sphere
+    reach = mf.chord(a) if sphere else a
     weights = grid.weights
     # evaluation points per block, so a block holds about _BLOCK_PAIRS pairs
     block = max(1, int(_BLOCK_PAIRS / (grid.size * mf.ball_volume(a))))
 
     def evaluator(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = mf.to_intrinsic(pts)
+        coords = tree_coords(mf, pts)[0]
         out = np.empty(len(pts))
         for start in range(0, len(pts), block):
             stop = min(start + block, len(pts))
-            qt = cKDTree(pts[start:stop])
-            # ambient chord <= geodesic, so radius a covers the geodesic ball
-            coo = qt.sparse_distance_matrix(node_tree, a, output_type="coo_matrix")
-            rows, cols = coo.row, coo.col
-            dgeo = mf.intrinsic_distance(coords[start:stop][rows], node_coords[cols])
+            qt = cKDTree(coords[start:stop], boxsize=box)
+            pairs = qt.sparse_distance_matrix(node_tree, reach, output_type="ndarray")
+            rows, cols = pairs["i"], pairs["j"]
+            dgeo = mf.arc(pairs["v"]) if sphere else pairs["v"]
             phi = kernel.profile(dgeo / a)
             wphi = weights[cols] * phi
             num = np.bincount(rows, weights=wphi * node_vals[cols], minlength=stop - start)

@@ -327,6 +327,14 @@ def test_cli_exit_codes(tmp_path):
     graph.write_text("i,j\n0,1\n1,2\n")
     (tmp_path / "bad.csv.json").write_text('{"n": 4, "epsilon": 0.5}')
     assert cli.main(["solve", "--graph", str(graph)]) == 3
+    # a sphere cloud labelled a circle of 99 points: no graph, no arc certificate
+    cloud = tmp_path / "cloud.csv"
+    get_manifold("sphere_2").sample(60, seed=1).save(cloud)
+    (tmp_path / "cloud.csv.json").write_text(
+        '{"manifold": "circle", "n": 99, "seed": 1}')
+    assert cli.main(["--out", str(tmp_path / "g.csv"), "build-graph",
+                     "--cloud", str(cloud), "--epsilon", "0.2"]) == 3
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():

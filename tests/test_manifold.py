@@ -111,6 +111,54 @@ def test_pointcloud_load_checks_the_sidecar_keys(tmp_path, meta, message):
         PointCloud.load(path)
 
 
+def _relabelled_cloud(tmp_path, sample, **meta):
+    """A saved cloud of `sample` = (manifold, n) whose sidecar says `meta`."""
+    name, n = sample
+    path = tmp_path / "cloud.csv"
+    get_manifold(name).sample(n, seed=5).save(path)
+    sidecar = tmp_path / "cloud.csv.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **meta}))
+    return path
+
+
+def _lift_first_point(path, factor):
+    rows = path.read_text().splitlines()
+    i, *xs = rows[1].split(",")
+    rows[1] = ",".join([i] + [repr(float(x) * factor) for x in xs])
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("sample,meta,lift,message", [
+    # a sphere cloud labelled a circle used to get a circle-family certificate
+    (("sphere_2", 60), {"manifold": "circle", "n": 99}, 1.0,
+     "3 coordinates a point, the circle has 2"),
+    (("flat_torus_2", 40), {"manifold": "sphere_2"}, 1.0,
+     "4 coordinates a point, the sphere_2 has 3"),
+    (("circle", 60), {"n": 99}, 1.0, "60 points, the sidecar n = 99"),
+    (("sphere_2", 60), {"n": 59}, 1.0, "60 points, the sidecar n = 59"),
+    (("circle", 60), {"n": 60.0}, 1.0, "n must be an integer, got 60.0"),
+    (("circle", 60), {}, 1.0 + 1e-6, "off the circle"),
+    (("flat_torus_2", 40), {}, 1.0 + 1e-6, "off the flat_torus_2"),
+    (("sphere_2", 60), {}, 1.0 - 1e-6, "off the sphere_2"),
+], ids=["sphere_as_circle", "torus_as_sphere", "n_too_large", "n_too_small",
+        "n_not_integer", "off_circle", "off_torus", "off_sphere"])
+def test_pointcloud_load_checks_the_points_against_the_sidecar(tmp_path, sample,
+                                                               meta, lift, message):
+    path = _relabelled_cloud(tmp_path, sample, **meta)
+    if lift != 1.0:
+        _lift_first_point(path, lift)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        PointCloud.load(path)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_pointcloud_load_keeps_points_within_the_tolerance(tmp_path, name):
+    # a point 1e-12 off its manifold is rounding, not another manifold's point
+    path = _relabelled_cloud(tmp_path, (name, 30))
+    _lift_first_point(path, 1.0 + 1e-11)
+    assert PointCloud.load(path).n == 30
+
+
 def test_reference_set_volumes_by_quadrature():
     from cheeger_lab.quadrature import build_grid
     c = get_manifold("circle")

@@ -16,7 +16,8 @@ from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction,
                                      gradient_norm_fd, indicator_function,
                                      smooth, surface_tension, tv_local_smooth,
                                      tv_nonlocal)
-from cheeger_lab.quadrature import build_grid, grid_for_scale
+from cheeger_lab.quadrature import (build_grid, grid_for_scale, sphere_exp,
+                                    tangent_frames)
 
 CIRCLE = get_manifold("circle")
 TORUS = get_manifold("flat_torus_2")
@@ -379,9 +380,9 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     whole = smooth(f, kern, g)(pts)
     trees = []
 
-    def counting_tree(data):
+    def counting_tree(data, **kwargs):
         trees.append(len(data))
-        return cKDTree(data)
+        return cKDTree(data, **kwargs)
 
     # about 50 points a block; 1001 + g.size is no multiple of 49 or 50
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
@@ -391,6 +392,43 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     assert block in (49, 50) and len(trees) == 2 + len(pts) // block
     assert 0 < trees[-1] < block
     assert np.allclose(blocked, whole, rtol=1e-13, atol=0)
+
+
+def _oracle_points(mf, g):
+    """Samples, grid nodes, seam points and nodes pushed a fraction of a cell."""
+    step = g.spacing / 8.0
+    x = g.intrinsic[::7]
+    if mf.name == "sphere_2":
+        pushed = [sphere_exp(mf, x, e, s) for e in tangent_frames(mf, x)
+                  for s in (step, -step)]
+        # the poles, where the grid's latitude bands close up, and the equator
+        seam = mf.to_ambient(np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]))
+    else:
+        pushed = [mf.to_ambient(x + s * e) for e in np.eye(mf.m)
+                  for s in (step, -step)]
+        # intrinsic -1e-17 wraps to 1.0, outside the periodic unit box
+        edge = [-1e-17, 0.0, 1.0 - 1e-17, 0.5]
+        seam = mf.to_ambient(np.array(edge if mf.m == 1 else
+                                      [[u, v] for u in edge for v in edge]))
+    return np.concatenate([mf.sample(200, seed=8).points, g.nodes[::5], seam, *pushed])
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
+def test_smooth_matches_a_dense_geodesic_sum(name):
+    # brute force: every (point, node) pair through intrinsic_distance
+    mf = get_manifold(name)
+    a = 0.1
+    g = grid_for_scale(mf, a, 4)
+    kern = SmoothingKernel(a=a, m=mf.m)
+    f = ContinuumFunction(evaluator=lambda p: 2.0 + np.cos(20.0 * p[:, 0]) * p[:, 1])
+    pts = _oracle_points(mf, g)
+    y = mf.to_intrinsic(g.nodes)[None, ...]
+    dense = []
+    for chunk in np.array_split(mf.to_intrinsic(pts), len(pts) // 64):
+        wphi = g.weights * kern.profile(mf.intrinsic_distance(chunk[:, None, ...], y) / a)
+        dense.append(wphi @ f(g.nodes) / wphi.sum(axis=1))
+    dense = np.concatenate(dense)
+    assert np.allclose(smooth(f, kern, g)(pts), dense, rtol=1e-12, atol=0)
 
 
 def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
