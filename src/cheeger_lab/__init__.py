@@ -1,9 +1,8 @@
 """Graph-based Cheeger cut laboratory on sampled manifolds."""
 
 from .errors import CheegerLabError
-from .manifold import (CheegerReference, Circle, CircleArc, FlatTorus2,
-                       PointCloud, Sphere2, SphereCap, TorusStrip,
-                       continuum_cheeger, get_manifold)
+from .manifold import (Circle, CircleArc, FlatTorus2, PointCloud, Sphere2,
+                       SphereCap, TorusStrip, get_manifold)
 from .proximity_graph import (ProximityGraph, build_graph, cut_and_balance,
                               cut_size, gtv, objective)
 from .cut_solvers import (CutResult, refine_local_search, solve_arc_sweep,

@@ -12,7 +12,7 @@ import sys
 from . import harness
 from .consistency import ustat_concentration
 from .errors import CheegerLabError, ConfigError
-from .manifold import PointCloud, continuum_cheeger, get_manifold
+from .manifold import PointCloud, get_manifold
 from .nonlocal_tv import check_bias_inequality, indicator_function
 from .proximity_graph import ProximityGraph, build_graph
 
@@ -65,8 +65,7 @@ def build_parser():
 
     s = sub.add_parser("plot", help="emit plot data from a summary")
     s.add_argument("--summary", required=True)
-    s.add_argument("--kind", required=True,
-                   choices=["rate_loglog", "cut_error", "concentration"])
+    s.add_argument("--kind", required=True, choices=list(harness.PLOT_KINDS))
 
     s = sub.add_parser("validate", help="validate and echo a config file")
     s.add_argument("--config", required=True)
@@ -117,7 +116,7 @@ def _dispatch(args):
         return 0
     if cmd == "nonlocal-check":
         mf = get_manifold(args.manifold)
-        ref = continuum_cheeger(mf).default_minimizer()
+        ref = mf.default_minimizer()
         rep = check_bias_inequality(mf, ref, _parse_float_list(args.h))
         print(json.dumps(rep.as_dict(), indent=2, default=float))
         return 0 if rep.passed else 3
@@ -139,7 +138,7 @@ def _dispatch(args):
         return 0
     if cmd == "ustat":
         mf = get_manifold(args.manifold)
-        ref = continuum_cheeger(mf).default_minimizer()
+        ref = mf.default_minimizer()
         f = indicator_function(ref)
         rep = ustat_concentration(mf, f, _parse_int_list(args.n),
                                   epsilon_rule=lambda n: n ** -0.5,

@@ -22,8 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
-from .manifold import (CheegerReference, Circle, FlatTorus2, PointCloud,
-                       Sphere2, _wrap, tree_coords)
+from .manifold import Circle, FlatTorus2, PointCloud, _wrap
 from .nonlocal_tv import ContinuumFunction, SmoothingKernel, smooth, surface_tension
 from .proximity_graph import build_graph, gtv
 from .quadrature import QuadratureGrid, tangent_frames
@@ -71,10 +70,13 @@ def transport_assign(cloud: PointCloud, nodes) -> TransportSurrogate:
     grid = nodes if isinstance(nodes, QuadratureGrid) else None
     pts = grid.nodes if grid is not None else np.atleast_2d(np.asarray(nodes, float))
     mf = cloud.manifold
+    if grid is not None and grid.manifold.name != mf.name:
+        raise ValueError(f"the grid's manifold {grid.manifold.name} is not "
+                         f"the cloud's manifold {mf.name}")
     samples = cloud.points
-    coords, box = tree_coords(mf, samples)
+    coords, box = mf.tree_coords(samples)
     tree = cKDTree(coords, boxsize=box)
-    x = tree_coords(mf, pts)[0]
+    x = mf.tree_coords(pts)[0]
     d, idx = tree.query(x, k=2)
     assignment = idx[:, 0].copy()
     # the second nearest sample may tie; then take the smallest index among
@@ -137,26 +139,23 @@ def interpolate(u, surrogate: TransportSurrogate,
 # Fraenkel asymmetry
 # ---------------------------------------------------------------------------
 
-def match_minimizer(f: ContinuumFunction, reference: CheegerReference,
-                    grid: QuadratureGrid):
-    """(alpha, best family parameter) minimizing the symmetric difference."""
-    return _match_node_values(f(grid.nodes), reference, grid)
+def match_minimizer(f: ContinuumFunction, grid: QuadratureGrid):
+    """(alpha, best parameter of the grid manifold's minimizer family)
+    minimizing the symmetric difference."""
+    return _match_node_values(f(grid.nodes), grid)
 
 
-def fraenkel_asymmetry(f: ContinuumFunction, reference: CheegerReference,
-                       grid: QuadratureGrid) -> float:
-    return match_minimizer(f, reference, grid)[0]
+def fraenkel_asymmetry(f: ContinuumFunction, grid: QuadratureGrid) -> float:
+    return match_minimizer(f, grid)[0]
 
 
-def _match_node_values(fvals, reference: CheegerReference, grid: QuadratureGrid):
+def _match_node_values(fvals, grid: QuadratureGrid):
     """``match_minimizer`` for a function given by its values on the grid nodes.
 
     |f - 1_E| = |f| + 1_E (|f - 1| - |f|), so the family member E that is
     nearest to f is the one with the least sum of ``gain`` over its nodes.
     """
-    mf = reference.manifold
-    if not isinstance(mf, (Circle, FlatTorus2, Sphere2)):
-        raise ValueError("unsupported manifold")
+    mf = grid.manifold
     gain = grid.weights * (np.abs(fvals - 1.0) - np.abs(fvals))
     coord = mf.to_intrinsic(grid.nodes)
     if isinstance(mf, Circle):
@@ -166,9 +165,9 @@ def _match_node_values(fvals, reference: CheegerReference, grid: QuadratureGrid)
         s0, o0 = _best_half_window(coord[:, 0], gain)
         s1, o1 = _best_half_window(coord[:, 1], gain)
         param = (1, o1) if s1 < s0 else (0, o0)  # ties go to axis 0
-    else:
+    else:  # the sphere
         param = _match_sphere(gain, coord, mf)
-    member = reference.minimizer(param).indicator(grid.nodes)
+    member = mf.minimizer(param).indicator(grid.nodes)
     return grid.integrate(np.abs(fvals - member)), param
 
 
@@ -233,18 +232,18 @@ class AdjustedSet:
     center: np.ndarray = None
 
 
-def fix_mass(indicator, volume, target_mass, manifold,
-             grid: QuadratureGrid) -> AdjustedSet:
+def fix_mass(indicator, volume, target_mass, grid: QuadratureGrid) -> AdjustedSet:
     """Adjust a set's volume to ``target_mass`` by a disjoint/contained ball.
 
-    ``indicator`` is a callable on ambient points; ``volume`` its known
-    volume. The ball radius is the manifold's closed-form
+    ``indicator`` is a callable on ambient points of the grid's manifold;
+    ``volume`` its known volume. The ball radius is the manifold's closed-form
     ``ball_radius_for_volume``, so the output volume bookkeeping is exact and
     the moved volume equals the correction.
     """
     if not 0.0 < target_mass < 1.0:
         raise InfeasibleMass(f"target mass {target_mass} outside (0, 1)")
     ind = indicator.evaluator if isinstance(indicator, ContinuumFunction) else indicator
+    manifold = grid.manifold
     dv = target_mass - volume
     if abs(dv) < 1e-12:
         f = ContinuumFunction(evaluator=lambda p: np.asarray(ind(p), float), bound=1.0)
@@ -255,7 +254,7 @@ def fix_mass(indicator, volume, target_mass, manifold,
     except ValueError as exc:  # no geodesic ball has that volume
         raise InfeasibleMass(f"correction {abs(dv):.6g}: {exc}") from exc
     adding = dv > 0
-    center = _ball_site(ind, manifold, grid, r, exterior=adding)
+    center = _ball_site(ind, grid, r, exterior=adding)
     if center is None:
         raise InfeasibleMass("no room for the correction ball")
 
@@ -272,15 +271,16 @@ def fix_mass(indicator, volume, target_mass, manifold,
                        center=center)
 
 
-def _ball_site(ind, manifold, grid, r, exterior):
+def _ball_site(ind, grid, r, exterior):
     """Node whose r-ball avoids (exterior) or lies in (interior) the set."""
+    manifold = grid.manifold
     fvals = np.asarray(ind(grid.nodes), dtype=float) > 0.5
     want = ~fvals if exterior else fvals
     cand = np.flatnonzero(want)
     if not len(cand):
         return None
     if isinstance(manifold, Circle):
-        return _ball_site_circle(fvals, manifold, grid, r, exterior)
+        return _ball_site_circle(fvals, grid, r, exterior)
     # prefer deep candidates: sort by distance to the nearest opposite node
     opp = grid.nodes[~want]
     if not len(opp):
@@ -289,10 +289,9 @@ def _ball_site(ind, manifold, grid, r, exterior):
     dist, _ = opp_tree.query(grid.nodes[cand])
     order = cand[np.argsort(-dist, kind="stable")]
     node_tree = cKDTree(grid.nodes)
-    # chord <= geodesic on the flat manifolds
-    chord = manifold.chord(r) if isinstance(manifold, Sphere2) else r
+    reach = manifold.tree_radius(r) * 1.0000001
     for i in order[:64]:
-        near = node_tree.query_ball_point(grid.nodes[i], chord * 1.0000001)
+        near = node_tree.query_ball_point(grid.nodes[i], reach)
         near = np.asarray(near, dtype=int)
         dg = manifold.geodesic_distance(grid.nodes[i][None, :], grid.nodes[near])
         inside = near[np.atleast_1d(dg) <= r]
@@ -301,8 +300,9 @@ def _ball_site(ind, manifold, grid, r, exterior):
     return None
 
 
-def _ball_site_circle(fvals, manifold, grid, r, exterior):
+def _ball_site_circle(fvals, grid, r, exterior):
     """Place the arc flush against a set boundary so perimeter is preserved."""
+    manifold = grid.manifold
     order = np.argsort(manifold.to_intrinsic(grid.nodes), kind="stable")
     t = manifold.to_intrinsic(grid.nodes)[order]
     vals = fvals[order]
@@ -380,15 +380,15 @@ class CutError(NamedTuple):
     sup_displacement: float
 
 
-def cut_l1_error(cut, cloud: PointCloud, reference: CheegerReference,
-                 grid: QuadratureGrid) -> CutError:
-    """L1 distance of the transported cut indicator to the minimizer family."""
+def cut_l1_error(cut, cloud: PointCloud, grid: QuadratureGrid) -> CutError:
+    """L1 distance of the transported cut indicator to the minimizer family
+    of the cloud's manifold, on a grid of that manifold."""
     u = np.zeros(cloud.n)
     u[np.asarray(cut.subset, dtype=int)] = 1.0
     sur = transport_assign(cloud, grid)
     # match directly on the node values; the family covers complements
-    alpha, param = _match_node_values(sur.pullback(u), reference, grid)
-    disc = float(np.mean(u != reference.minimizer(param).indicator(cloud.points)))
+    alpha, param = _match_node_values(sur.pullback(u), grid)
+    disc = float(np.mean(u != grid.manifold.minimizer(param).indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
     return CutError(l1_error=float(alpha), matched_param=param,
                     discrete_error=disc, sup_displacement=sur.sup_displacement)

@@ -29,7 +29,7 @@ from .consistency import (circle_transport_delta, cut_l1_error, fit_rate,
 from .cut_solvers import (solve_arc_sweep, solve_exact, solve_pipeline,
                           solve_spectral_sweep)
 from .errors import ConfigError, MissingColumns
-from .manifold import Circle, continuum_cheeger, get_manifold
+from .manifold import Circle, get_manifold, is_int
 from .nonlocal_tv import surface_tension
 from .proximity_graph import build_graph
 from .quadrature import build_grid
@@ -56,6 +56,10 @@ RECORD_SCHEMA = 2
 TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
 
 SVG_SIZE = (480, 360)  # width and height of the log-log plot, in pixels
+
+# plot kind -> the summary column it plots
+PLOT_KINDS = {"rate_loglog": "abs_error", "cut_error": "l1_cut_error",
+              "concentration": "cheeger_ratio"}
 
 
 @dataclass
@@ -90,6 +94,20 @@ class ExperimentConfig:
         return d
 
 
+class _NotInteger(Exception):
+    """A number that ``int`` would truncate: a bool or a float."""
+
+
+def _integer(v):
+    """``v`` if it is an integer (``is_int``). A bool or a float, 500.0 as
+    well as 500.7, raises ``_NotInteger``; anything that is not a number
+    raises ``ValueError`` or ``TypeError``."""
+    if is_int(v):
+        return v
+    float(v)  # ValueError or TypeError when v does not parse as a number
+    raise _NotInteger
+
+
 def validate_config(source) -> ExperimentConfig:
     """Build a config from a dict or a JSON file path; collect all errors."""
     if isinstance(source, (str, Path)):
@@ -116,10 +134,12 @@ def validate_config(source) -> ExperimentConfig:
         value = raw.get(key, default)
         try:
             return None if value is None else kind(value)
+        except _NotInteger:
+            errors.append(f"{key} must be an integer, got {value!r}")
         except (TypeError, ValueError, OverflowError):
             errors.append(f"{key} must be numeric, got {value!r}")
 
-    n_list = parse("n_list", lambda v: [int(n) for n in v])
+    n_list = parse("n_list", lambda v: [_integer(n) for n in v])
     if not raw.get("n_list"):
         errors.append("n_list required")
     elif n_list:
@@ -130,12 +150,12 @@ def validate_config(source) -> ExperimentConfig:
         repeated = sorted({n for n in n_list if n_list.count(n) > 1})
         if repeated:
             errors.append(f"n_list repeats n: {repeated}")
-    trials = parse("trials", int, 0)
+    trials = parse("trials", _integer, 0)
     if trials is not None and trials < 1:
         errors.append("trials must be >= 1")
     if "seed" not in raw:
         errors.append("seed required")
-    seed = parse("seed", int)
+    seed = parse("seed", _integer)
     if not raw.get("out"):
         errors.append("out (output directory) required")
     solver = raw.get("solver", "pipeline")
@@ -196,15 +216,14 @@ def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
     marks.append(time.perf_counter())
     result = _SOLVERS[cfg.solver](graph)
     marks.append(time.perf_counter())
-    ref = continuum_cheeger(mf)
-    target = surface_tension(mf.m) * ref.constant
+    target = surface_tension(mf.m) * mf.cheeger_constant
     # exact transport distance on the circle; unmeasured elsewhere, where the
     # covering radius sup_displacement is only a lower bound on it
     transport_delta = (circle_transport_delta(cloud)
                        if isinstance(mf, Circle) else None)
     marks.append(time.perf_counter())
     grid = build_grid(mf, TRIAL_GRID[mf.name])
-    err = cut_l1_error(result, cloud, ref, grid=grid)
+    err = cut_l1_error(result, cloud, grid)
     marks.append(time.perf_counter())
     # the density-fluctuation term of kappa is unmeasured
     kappa = (None if transport_delta is None
@@ -320,12 +339,9 @@ def _write_summary(path, records):
         w = csv.writer(fh)
         w.writerow(SUMMARY_COLUMNS)
         for r in sorted(records, key=lambda r: (r["n"], r["trial"])):
-            w.writerow([r["n"], repr(r["epsilon"]), r["trial_seed"],
-                        repr(r["cheeger_ratio"]), repr(r["continuum_ref"]),
-                        repr(r["abs_error"]), repr(r["l1_cut_error"]),
-                        repr(r["sup_displacement"]), r["method"],
-                        r["winner"], r["certificate"],
-                        f"{r['elapsed_sec']:.3f}"])
+            # csv writes a float as its repr
+            w.writerow([f"{r[c]:.3f}" if c == "elapsed_sec" else r[c]
+                        for c in SUMMARY_COLUMNS])
 
 
 def _write_rates(path, cfg, records):
@@ -355,8 +371,7 @@ def _write_rates(path, cfg, records):
 
 def emit_plot_data(summary_path, kind, out_dir) -> dict:
     """Write TSV plot data and a self-contained SVG for a summary file."""
-    column = {"rate_loglog": "abs_error", "cut_error": "l1_cut_error",
-              "concentration": "cheeger_ratio"}.get(kind)
+    column = PLOT_KINDS.get(kind)
     if column is None:
         raise ValueError(f"unknown plot kind {kind!r}")
     rows = _read_summary(summary_path, column)

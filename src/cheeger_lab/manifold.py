@@ -103,7 +103,17 @@ def is_int(v):
 
 
 class Manifold:
-    """Base interface; concrete kinds below."""
+    """Base interface; concrete kinds below.
+
+    Each kind also holds its continuum Cheeger facts: ``cheeger_constant``
+    C_M, the half-volume minimizer family ``minimizer(param)`` with a
+    ``default_minimizer()``, and the isoperimetric profile
+    ``isoperimetric_profile(v)``, the least perimeter of a set of volume v.
+    And its k-d tree metric: ``tree_coords(points)`` is (coords, boxsize) of a
+    tree whose distance d is monotone in the geodesic one,
+    ``tree_geodesic(d)``, and a ball of radius ``tree_radius(r)`` holds every
+    point within geodesic distance r, in ambient and in tree coordinates.
+    """
 
     name: str
     m: int  # intrinsic dimension
@@ -152,32 +162,60 @@ class Manifold:
         return f"<{type(self).__name__} m={self.m} d={self.d}>"
 
 
-class Circle(Manifold):
+class FlatTorus(Manifold):
+    """The flat unit-period m-torus: the circle (m = 1) and the 2-torus.
+
+    Its k-d tree lives in the periodic unit box of the intrinsic
+    coordinates, where the tree's distance is the geodesic distance; in the
+    ambient embedding the chord is shorter, so r holds an r-ball there too.
+    """
+
+    cheeger_constant = 4.0
+
+    def __init__(self):
+        self.radius = 1.0 / TWO_PI  # per-factor circle radius; unit volume
+
+    def to_ambient(self, t):
+        """One (cos, sin) pair, times the radius, per coordinate of t; the
+        circle's t is a scalar per point."""
+        t = np.asarray(t, dtype=float)
+        ang = TWO_PI * (t[..., None] if self.m == 1 else t)
+        pairs = np.stack([self.radius * np.cos(ang), self.radius * np.sin(ang)], axis=-1)
+        return pairs.reshape(*pairs.shape[:-2], self.d)
+
+    def to_intrinsic(self, points):
+        points = np.asarray(points, dtype=float)
+        t = _wrap(np.arctan2(points[..., 1::2], points[..., 0::2]) / TWO_PI)
+        return t[..., 0] if self.m == 1 else t
+
+    def on_manifold_residual(self, points):
+        points = np.asarray(points, dtype=float)
+        pairs = points.reshape(*points.shape[:-1], self.m, 2)
+        return np.abs(np.linalg.norm(pairs, axis=-1) - self.radius).max(axis=-1)
+
+    def tree_coords(self, points):
+        t = self.to_intrinsic(points).reshape(len(points), -1)
+        t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
+        return t, 1.0
+
+    def tree_radius(self, r):
+        return r
+
+    def tree_geodesic(self, d):
+        return d
+
+
+class Circle(FlatTorus):
     name = "circle"
     m = 1
     d = 2
-
-    def __init__(self):
-        self.radius = 1.0 / TWO_PI
 
     def _sample(self, rng, n):
         t = rng.random(n)
         return self.to_ambient(t)
 
-    def to_ambient(self, t):
-        t = np.asarray(t, dtype=float)
-        ang = TWO_PI * t
-        return np.stack([self.radius * np.cos(ang), self.radius * np.sin(ang)], axis=-1)
-
-    def to_intrinsic(self, points):
-        points = np.asarray(points, dtype=float)
-        return _wrap(np.arctan2(points[..., 1], points[..., 0]) / TWO_PI)
-
     def intrinsic_distance(self, a, b):
         return _wrap_dist(a, b)
-
-    def on_manifold_residual(self, points):
-        return np.abs(np.linalg.norm(points, axis=-1) - self.radius)
 
     def ball_volume(self, r):
         return min(2.0 * r, 1.0)
@@ -190,43 +228,30 @@ class Circle(Manifold):
             raise ValueError("ball volume must be in (0,1)")
         return vol / 2.0
 
+    def minimizer(self, param):
+        return CircleArc(self, center=param)
 
-class FlatTorus2(Manifold):
+    def default_minimizer(self):
+        return self.minimizer(0.25)
+
+    def isoperimetric_profile(self, v):
+        v = np.asarray(v, dtype=float)
+        return np.where((v > 0) & (v < 1), 2.0, 0.0)
+
+
+class FlatTorus2(FlatTorus):
     name = "flat_torus_2"
     m = 2
     d = 4
-
-    def __init__(self):
-        self.radius = 1.0 / TWO_PI  # per-factor circle radius; unit area total
 
     def _sample(self, rng, n):
         uv = rng.random((n, 2))
         return self.to_ambient(uv)
 
-    def to_ambient(self, uv):
-        uv = np.asarray(uv, dtype=float)
-        au = TWO_PI * uv[..., 0]
-        av = TWO_PI * uv[..., 1]
-        r = self.radius
-        return np.stack([r * np.cos(au), r * np.sin(au),
-                         r * np.cos(av), r * np.sin(av)], axis=-1)
-
-    def to_intrinsic(self, points):
-        points = np.asarray(points, dtype=float)
-        u = _wrap(np.arctan2(points[..., 1], points[..., 0]) / TWO_PI)
-        v = _wrap(np.arctan2(points[..., 3], points[..., 2]) / TWO_PI)
-        return np.stack([u, v], axis=-1)
-
     def intrinsic_distance(self, a, b):
         du = _wrap_dist(a[..., 0], b[..., 0])
         dv = _wrap_dist(a[..., 1], b[..., 1])
         return np.sqrt(du * du + dv * dv)
-
-    def on_manifold_residual(self, points):
-        points = np.asarray(points, dtype=float)
-        r1 = np.abs(np.linalg.norm(points[..., :2], axis=-1) - self.radius)
-        r2 = np.abs(np.linalg.norm(points[..., 2:], axis=-1) - self.radius)
-        return np.maximum(r1, r2)
 
     def ball_volume(self, r):
         if r > 0.5:
@@ -242,11 +267,25 @@ class FlatTorus2(Manifold):
             raise ValueError("requested ball volume too large for flat torus")
         return r
 
+    def minimizer(self, param):
+        axis, offset = param
+        return TorusStrip(self, axis=axis, offset=offset)
+
+    def default_minimizer(self):
+        return self.minimizer((0, 0.0))
+
+    def isoperimetric_profile(self, v):
+        v = np.asarray(v, dtype=float)
+        w = np.minimum(v, 1.0 - v)
+        # small volumes favor geodesic disks, large ones strips
+        return np.minimum(2.0 * np.sqrt(np.pi * w), 2.0)
+
 
 class Sphere2(Manifold):
     name = "sphere_2"
     m = 2
     d = 3
+    cheeger_constant = 2.0 * np.sqrt(np.pi)
 
     def __init__(self):
         self.radius = 1.0 / np.sqrt(4.0 * np.pi)
@@ -282,26 +321,27 @@ class Sphere2(Manifold):
             raise ValueError("ball volume must be in (0,1)")
         return self.radius * np.arccos(1.0 - 2.0 * vol)
 
-    def chord(self, r):
+    def minimizer(self, param):
+        return SphereCap(self, pole=param)
+
+    def default_minimizer(self):
+        return self.minimizer(np.array([0.0, 0.0, 1.0]))
+
+    def isoperimetric_profile(self, v):
+        v = np.asarray(v, dtype=float)
+        return 2.0 * np.sqrt(np.pi * v * (1.0 - v))
+
+    def tree_coords(self, points):
+        """Ambient coordinates: the tree's distance is the chord."""
+        return points, None
+
+    def tree_radius(self, r):
         """Ambient length of the chord of a geodesic distance r (capped at pi R)."""
         return 2.0 * self.radius * np.sin(min(r / self.radius, np.pi) / 2.0)
 
-    def arc(self, chord):
-        """Geodesic distance of ambient chords of length `chord`; inverts `chord`."""
-        return 2.0 * self.radius * np.arcsin(np.minimum(chord / (2.0 * self.radius), 1.0))
-
-
-def tree_coords(manifold, points):
-    """(coords, boxsize) in which a k-d tree's distance is monotone in the
-    geodesic one: intrinsic coordinates in the periodic unit box on the circle
-    and the torus, where it is the geodesic distance, and ambient ones on the
-    sphere, where it is the chord (``Sphere2.arc`` turns it into the geodesic).
-    """
-    if isinstance(manifold, Sphere2):
-        return points, None
-    t = manifold.to_intrinsic(points).reshape(len(points), -1)
-    t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
-    return t, 1.0
+    def tree_geodesic(self, d):
+        """Geodesic distance of ambient chords of length d; inverts `tree_radius`."""
+        return 2.0 * self.radius * np.arcsin(np.minimum(d / (2.0 * self.radius), 1.0))
 
 
 _REGISTRY = {
@@ -377,54 +417,3 @@ class SphereCap(ReferenceSet):
     def indicator(self, points):
         u = self.manifold.to_intrinsic(points)
         return (u @ self.pole >= self.cos_threshold).astype(float)
-
-
-@dataclass
-class CheegerReference:
-    manifold: Manifold
-    constant: float
-
-    def minimizer(self, param) -> ReferenceSet:
-        """Family member of volume 1/2 indexed by the natural parameter."""
-        mf = self.manifold
-        if isinstance(mf, Circle):
-            return CircleArc(mf, center=param)
-        if isinstance(mf, FlatTorus2):
-            axis, offset = param
-            return TorusStrip(mf, axis=axis, offset=offset)
-        if isinstance(mf, Sphere2):
-            return SphereCap(mf, pole=param)
-        raise ValueError("unsupported manifold")
-
-    def default_minimizer(self) -> ReferenceSet:
-        mf = self.manifold
-        if isinstance(mf, Circle):
-            return self.minimizer(0.25)
-        if isinstance(mf, FlatTorus2):
-            return self.minimizer((0, 0.0))
-        return self.minimizer(np.array([0.0, 0.0, 1.0]))
-
-    def isoperimetric_profile(self, v):
-        """Minimal perimeter I(v) among sets of volume v, for v in (0,1)."""
-        v = np.asarray(v, dtype=float)
-        w = np.minimum(v, 1.0 - v)
-        mf = self.manifold
-        if isinstance(mf, Circle):
-            return np.where((v > 0) & (v < 1), 2.0, 0.0)
-        if isinstance(mf, FlatTorus2):
-            # small volumes favor geodesic disks, large ones strips
-            return np.minimum(2.0 * np.sqrt(np.pi * w), 2.0)
-        if isinstance(mf, Sphere2):
-            return 2.0 * np.sqrt(np.pi * v * (1.0 - v))
-        raise ValueError("unsupported manifold")
-
-
-def continuum_cheeger(manifold) -> CheegerReference:
-    """Exact continuum Cheeger constant and minimizer family."""
-    if isinstance(manifold, Circle):
-        return CheegerReference(manifold, constant=4.0)
-    if isinstance(manifold, FlatTorus2):
-        return CheegerReference(manifold, constant=4.0)
-    if isinstance(manifold, Sphere2):
-        return CheegerReference(manifold, constant=2.0 * np.sqrt(np.pi))
-    raise ValueError("unsupported manifold")

@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
                      UnsupportedDimension)
-from .manifold import ReferenceSet, Sphere2, SphereCap, tree_coords
+from .manifold import ReferenceSet, Sphere2, SphereCap
 from .quadrature import (QuadratureGrid, grid_for_scale, sphere_exp,
                          tangent_frames)
 
@@ -209,7 +209,7 @@ def _tvh_lattice(values, h):
 
 def _tvh_sphere_pairs(values, h, grid):
     tree = cKDTree(grid.nodes)
-    pairs = tree.query_pairs(grid.manifold.chord(h), output_type="ndarray")
+    pairs = tree.query_pairs(grid.manifold.tree_radius(h), output_type="ndarray")
     if not len(pairs):
         return 0.0
     i, j = pairs[:, 0], pairs[:, 1]
@@ -284,13 +284,6 @@ def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid, step=None):
     return reduce(np.hypot, comps, 0.0)
 
 
-def perimeter_reference(manifold, ref: ReferenceSet) -> float:
-    """Closed-form perimeter of a reference-family set."""
-    if ref.manifold.name != manifold.name:
-        raise ValueError("reference set does not belong to this manifold")
-    return float(ref.perimeter)
-
-
 # ---------------------------------------------------------------------------
 # Smoothing operator
 # ---------------------------------------------------------------------------
@@ -312,26 +305,23 @@ def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
         raise ResolutionTooCoarse(
             f"grid spacing {grid.spacing:.4g} coarser than a/4 = {a / 4:.4g}")
     node_vals = f(grid.nodes)
-    sphere = isinstance(mf, Sphere2)
-    node_coords, box = tree_coords(mf, grid.nodes)
+    node_coords, box = mf.tree_coords(grid.nodes)
     node_tree = cKDTree(node_coords, boxsize=box)
-    # the tree measures the geodesic distance on the circle and the torus,
-    # the chord on the sphere
-    reach = mf.chord(a) if sphere else a
+    reach = mf.tree_radius(a)
     weights = grid.weights
     # evaluation points per block, so a block holds about _BLOCK_PAIRS pairs
     block = max(1, int(_BLOCK_PAIRS / (grid.size * mf.ball_volume(a))))
 
     def evaluator(points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        coords = tree_coords(mf, pts)[0]
+        coords = mf.tree_coords(pts)[0]
         out = np.empty(len(pts))
         for start in range(0, len(pts), block):
             stop = min(start + block, len(pts))
             qt = cKDTree(coords[start:stop], boxsize=box)
             pairs = qt.sparse_distance_matrix(node_tree, reach, output_type="ndarray")
             rows, cols = pairs["i"], pairs["j"]
-            dgeo = mf.arc(pairs["v"]) if sphere else pairs["v"]
+            dgeo = mf.tree_geodesic(pairs["v"])
             phi = kernel.profile(dgeo / a)
             wphi = weights[cols] * phi
             num = np.bincount(rows, weights=wphi * node_vals[cols], minlength=stop - start)

@@ -19,14 +19,12 @@ from cheeger_lab.consistency import (cut_l1_error, fit_rate, fix_mass,
                                      stability_exponent, ustat_concentration)
 from cheeger_lab.cut_solvers import solve_exact, solve_pipeline
 from cheeger_lab.harness import run_experiment, validate_config
-from cheeger_lab.manifold import (CircleArc, SphereCap, TorusStrip,
-                                  continuum_cheeger, get_manifold)
+from cheeger_lab.manifold import CircleArc, SphereCap, TorusStrip, get_manifold
 from cheeger_lab.nonlocal_tv import (ContinuumFunction, SmoothingKernel,
                                      cheeger_functional_form,
                                      check_monotonicity, constant_function,
                                      gradient_norm_fd, indicator_function,
-                                     perimeter_reference, smooth,
-                                     surface_tension, tv_nonlocal)
+                                     smooth, surface_tension, tv_nonlocal)
 from cheeger_lab.proximity_graph import build_graph, cut_and_balance, gtv
 from cheeger_lab.quadrature import build_grid, grid_for_scale
 
@@ -172,13 +170,12 @@ def test_criterion_04_continuum_references():
               "sphere_2": (np.array([0, 0, 1.0]), np.array([1.0, -2, 0.5]))}
     for name in ("circle", "flat_torus_2", "sphere_2"):
         mf = get_manifold(name)
-        ref = continuum_cheeger(mf)
-        g = ref.isoperimetric_profile(v) / np.minimum(v, 1.0 - v)
+        g = mf.isoperimetric_profile(v) / np.minimum(v, 1.0 - v)
         found = float(g.min())
-        rel = abs(found - ref.constant) / ref.constant
+        rel = abs(found - mf.cheeger_constant) / mf.cheeger_constant
         per_ok = all(
-            abs(perimeter_reference(mf, ref.minimizer(p))
-                - float(ref.isoperimetric_profile(0.5))) <= 1e-12
+            abs(mf.minimizer(p).perimeter
+                - float(mf.isoperimetric_profile(0.5))) <= 1e-12
             for p in params[name])
         ok &= rel <= 1e-6 and per_ok
         details.append(f"{name}: {found:.6f} (rel {rel:.1e}, family {per_ok})")
@@ -249,7 +246,7 @@ def test_criterion_05_nonlocal_calculus():
         bound=1.0))
     for mf, grid, funcs in ((CIRCLE, gc, circle_fs), (TORUS, gt, torus_fs),
                             (SPHERE, gs, sphere_fs)):
-        cm = continuum_cheeger(mf).constant
+        cm = mf.cheeger_constant
         for func in funcs:
             func_ok &= cheeger_functional_form(func, grid) >= cm - 0.02
     notes.append(f"functional >= C_M - 0.02: {func_ok}")
@@ -267,7 +264,7 @@ def test_criterion_05_nonlocal_calculus():
 def test_criterion_06_smoothing_operator():
     ok, details = True, []
     for mf in (CIRCLE, TORUS, SPHERE):
-        ref = continuum_cheeger(mf).default_minimizer()
+        ref = mf.default_minimizer()
         f = indicator_function(ref)
         for a in (0.02, 0.05):
             grid = grid_for_scale(mf, a, 4)
@@ -423,17 +420,16 @@ def test_criterion_11_fix_mass():
              "sphere_2": build_grid(SPHERE, 3000)}
     for name, grid in grids.items():
         mf = get_manifold(name)
-        ref = continuum_cheeger(mf)
         good = 0
         for _ in range(50):
             if name == "circle":
-                member = ref.minimizer(float(rng.random()))
+                member = mf.minimizer(float(rng.random()))
             elif name == "flat_torus_2":
-                member = ref.minimizer((int(rng.integers(2)), float(rng.random())))
+                member = mf.minimizer((int(rng.integers(2)), float(rng.random())))
             else:
-                member = ref.minimizer(rng.standard_normal(3))
+                member = mf.minimizer(rng.standard_normal(3))
             shift = float(rng.uniform(-0.15, 0.15))
-            adj = fix_mass(member.indicator, 0.5, 0.5 + shift, mf, grid)
+            adj = fix_mass(member.indicator, 0.5, 0.5 + shift, grid)
             good += (abs(adj.volume - (0.5 + shift)) <= 1e-6
                      and adj.symmetric_difference <= abs(shift) + 1e-6)
         ok &= good == 50

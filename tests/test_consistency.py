@@ -12,13 +12,12 @@ from cheeger_lab.consistency import (TransportSurrogate,
 from cheeger_lab.errors import (BandwidthTooSmall, InfeasibleMass,
                                 InsufficientData)
 from cheeger_lab.manifold import (CircleArc, PointCloud, SphereCap,
-                                  TorusStrip, _wrap_dist, continuum_cheeger,
-                                  get_manifold)
+                                  TorusStrip, _wrap_dist, get_manifold)
 from cheeger_lab.nonlocal_tv import (ContinuumFunction, SmoothingKernel,
                                      constant_function, indicator_function)
 from cheeger_lab.proximity_graph import build_graph
 from cheeger_lab.quadrature import build_grid
-from cheeger_lab.cut_solvers import solve_exact
+from cheeger_lab.cut_solvers import CutResult, solve_exact
 
 CIRCLE = get_manifold("circle")
 TORUS = get_manifold("flat_torus_2")
@@ -132,6 +131,22 @@ def test_transport_random_cloud_spacing_bound():
     assert hits >= 36  # spacing order statistics: holds for most seeds
 
 
+@pytest.mark.parametrize("cloud_mf,grid_mf,resolution", [
+    pytest.param(CIRCLE, TORUS, 40, id="circle-cloud-torus-grid"),
+    pytest.param(CIRCLE, SPHERE, 400, id="circle-cloud-sphere-grid"),
+    pytest.param(TORUS, CIRCLE, 40, id="torus-cloud-circle-grid")])
+def test_grid_of_another_manifold_is_refused(cloud_mf, grid_mf, resolution):
+    cloud = cloud_mf.sample(300, seed=1)
+    grid = build_grid(grid_mf, resolution)
+    names = f"{grid_mf.name} is not the cloud's manifold {cloud_mf.name}"
+    with pytest.raises(ValueError, match=names):
+        transport_assign(cloud, grid)
+    cut = CutResult(subset=np.arange(150), objective_value=1.0, gtv=1.0,
+                    balance=0.5, solver="exact", certificate="Heuristic")
+    with pytest.raises(ValueError, match=names):
+        cut_l1_error(cut, cloud, grid)
+
+
 def _rotation_search_delta(t, steps=20_000):
     """Worst displacement of the rotated monotone matching t_(k) -> arc
     [(k-1)/n + c, k/n + c], minimised over a dense grid of c."""
@@ -194,25 +209,22 @@ def test_interpolate_indicator_l1_bound():
 
 
 def test_fraenkel_family_member_is_zero():
-    ref = continuum_cheeger(CIRCLE)
     grid = build_grid(CIRCLE, 800)
     f = indicator_function(CircleArc(CIRCLE, center=0.37))
-    assert fraenkel_asymmetry(f, ref, grid) <= 2 * grid.spacing
+    assert fraenkel_asymmetry(f, grid) <= 2 * grid.spacing
 
 
 def test_fraenkel_two_arcs_is_half():
-    ref = continuum_cheeger(CIRCLE)
     grid = build_grid(CIRCLE, 800)
     f = ContinuumFunction(
         evaluator=lambda p: ((CIRCLE.to_intrinsic(p) % 0.5) < 0.25).astype(float))
-    assert fraenkel_asymmetry(f, ref, grid) == pytest.approx(0.5, abs=1e-2)
+    assert fraenkel_asymmetry(f, grid) == pytest.approx(0.5, abs=1e-2)
 
 
 @pytest.mark.parametrize("name,N", [("circle", 40), ("circle", 41),
                                     ("flat_torus_2", 12), ("flat_torus_2", 13)])
 def test_fraenkel_min_property(name, N):
     mf = get_manifold(name)
-    ref = continuum_cheeger(mf)
     grid = build_grid(mf, N)
     # brute-force scan with step 1/(8N), below the least gap 1/(2N) between
     # the parameters where the member's node set changes, and off those
@@ -222,29 +234,27 @@ def test_fraenkel_min_property(name, N):
               else [(axis, o) for axis in (0, 1) for o in offsets])
 
     def explicit(fvals, p):
-        return grid.integrate(np.abs(fvals - ref.minimizer(p).indicator(grid.nodes)))
+        return grid.integrate(np.abs(fvals - mf.minimizer(p).indicator(grid.nodes)))
 
     rng = np.random.default_rng(N)
     for fvals in (rng.integers(0, 2, grid.size).astype(float),
                   rng.uniform(-0.5, 1.5, grid.size)):
         f = ContinuumFunction(evaluator=lambda p, v=fvals: v)  # read on grid.nodes only
-        alpha, param = match_minimizer(f, ref, grid)
-        assert fraenkel_asymmetry(f, ref, grid) == alpha
+        alpha, param = match_minimizer(f, grid)
+        assert fraenkel_asymmetry(f, grid) == alpha
         assert alpha == pytest.approx(min(explicit(fvals, p) for p in params), abs=1e-12)
         assert alpha == pytest.approx(explicit(fvals, param), abs=1e-12)
 
 
 def test_fraenkel_torus_and_sphere():
-    reft = continuum_cheeger(TORUS)
     gt = build_grid(TORUS, 64)
     f = indicator_function(TorusStrip(TORUS, axis=1, offset=0.61))
-    a, (axis, off) = match_minimizer(f, reft, gt)
+    a, (axis, off) = match_minimizer(f, gt)
     assert a <= 2 * gt.spacing and axis == 1
-    refs = continuum_cheeger(SPHERE)
     gs = build_grid(SPHERE, 2500)
     pole = np.array([1.0, 2.0, -0.5])
     f = indicator_function(SphereCap(SPHERE, pole=pole))
-    a, p = match_minimizer(f, refs, gs)
+    a, p = match_minimizer(f, gs)
     assert a <= 0.01
     assert np.dot(p, pole / np.linalg.norm(pole)) > 0.999
 
@@ -252,16 +262,16 @@ def test_fraenkel_torus_and_sphere():
 def test_fix_mass_noop_and_infeasible():
     grid = build_grid(CIRCLE, 800)
     arc = CircleArc(CIRCLE, center=0.25)
-    adj = fix_mass(arc.indicator, 0.5, 0.5, CIRCLE, grid)
+    adj = fix_mass(arc.indicator, 0.5, 0.5, grid)
     assert adj.symmetric_difference == 0.0
     with pytest.raises(InfeasibleMass):
-        fix_mass(arc.indicator, 0.5, 1.2, CIRCLE, grid)
+        fix_mass(arc.indicator, 0.5, 1.2, grid)
 
 
 def test_fix_mass_circle_extends_arc():
     grid = build_grid(CIRCLE, 800)
     arc = CircleArc(CIRCLE, center=0.25)
-    adj = fix_mass(arc.indicator, 0.5, 0.6, CIRCLE, grid)
+    adj = fix_mass(arc.indicator, 0.5, 0.6, grid)
     assert adj.volume == pytest.approx(0.6, abs=1e-9)
     assert adj.symmetric_difference <= 0.1 + 1e-9
     # the result is still a single arc: quadrature volume 0.6, two boundaries
@@ -274,7 +284,7 @@ def test_fix_mass_circle_extends_arc():
 def test_fix_mass_torus_perimeter_increment():
     grid = build_grid(TORUS, 64)
     strip = TorusStrip(TORUS, axis=0, offset=0.0)
-    adj = fix_mass(strip.indicator, 0.5, 0.51, TORUS, grid)
+    adj = fix_mass(strip.indicator, 0.5, 0.51, grid)
     assert adj.volume == pytest.approx(0.51, abs=1e-9)
     assert adj.perimeter_increment <= 2 * np.sqrt(np.pi * 0.02) + 1e-6
     vals = adj.indicator(grid.nodes)
@@ -284,7 +294,7 @@ def test_fix_mass_torus_perimeter_increment():
 def test_fix_mass_sphere_removal():
     grid = build_grid(SPHERE, 3000)
     cap = SphereCap(SPHERE, pole=[0, 0, 1])
-    adj = fix_mass(cap.indicator, 0.5, 0.44, SPHERE, grid)
+    adj = fix_mass(cap.indicator, 0.5, 0.44, grid)
     assert adj.volume == pytest.approx(0.44, abs=1e-9)
     vals = adj.indicator(grid.nodes)
     assert grid.integrate(vals) == pytest.approx(0.44, abs=0.02)
@@ -298,7 +308,7 @@ def test_fix_mass_sphere_removal():
     pytest.param(SPHERE, 3000, SphereCap(SPHERE, pole=[0, 1, 1]), 0.58, id="sphere-add"),
     pytest.param(SPHERE, 3000, SphereCap(SPHERE, pole=[0, 0, 1]), 0.44, id="sphere-remove")])
 def test_fix_mass_radius_is_closed_form(mf, resolution, member, target):
-    adj = fix_mass(member.indicator, 0.5, target, mf, build_grid(mf, resolution))
+    adj = fix_mass(member.indicator, 0.5, target, build_grid(mf, resolution))
     assert adj.radius == mf.ball_radius_for_volume(abs(target - 0.5))
     assert adj.volume == target
 
@@ -308,7 +318,7 @@ def test_fix_mass_torus_disk_above_quarter_pi_is_infeasible():
     strip = TorusStrip(TORUS, axis=0, offset=0.0, width=0.1)
     grid = build_grid(TORUS, 64)
     with pytest.raises(InfeasibleMass, match="too large for flat torus"):
-        fix_mass(strip.indicator, 0.1, 0.1 + np.pi / 4 + 1e-3, TORUS, grid)
+        fix_mass(strip.indicator, 0.1, 0.1 + np.pi / 4 + 1e-3, grid)
 
 
 def test_ustat_constant_function_is_zero():
@@ -330,8 +340,7 @@ def test_cut_l1_error_on_planted_instance():
     cloud = PointCloud(points=CIRCLE.to_ambient(t), seed=6, manifold=CIRCLE)
     g = build_graph(cloud, 0.12)
     res = solve_exact(g)
-    ref = continuum_cheeger(CIRCLE)
-    err = cut_l1_error(res, cloud, ref, grid=build_grid(CIRCLE, 800))
+    err = cut_l1_error(res, cloud, build_grid(CIRCLE, 800))
     assert err.l1_error < 0.25
     assert err.discrete_error == 0.0  # clusters split exactly
 
@@ -342,13 +351,12 @@ def test_cut_l1_complement_invariance():
     from cheeger_lab.cut_solvers import solve_pipeline, CutResult
     res = solve_pipeline(g)
     grid = build_grid(CIRCLE, 800)
-    ref = continuum_cheeger(CIRCLE)
-    e1 = cut_l1_error(res, cloud, ref, grid=grid)
+    e1 = cut_l1_error(res, cloud, grid)
     comp = CutResult(subset=np.setdiff1d(np.arange(200), res.subset),
                      objective_value=res.objective_value, gtv=res.gtv,
                      balance=res.balance, solver=res.solver,
                      certificate=res.certificate)
-    e2 = cut_l1_error(comp, cloud, ref, grid=grid)
+    e2 = cut_l1_error(comp, cloud, grid)
     assert e1.l1_error == pytest.approx(e2.l1_error, abs=1e-9)
 
 

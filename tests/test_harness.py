@@ -100,6 +100,17 @@ def test_validate_config_rejects_non_numbers(tmp_path, key, value):
     assert cli.main(["validate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_list", [500.7, 1000]), ("trials", 2.5), ("seed", 3.9),
+    ("trials", True), ("seed", True), ("n_list", [True, 1000]),
+    # an integral float is refused too, as PointCloud.load refuses one
+    ("n_list", [500.0, 1000]), ("seed", 3.0)])
+def test_validate_config_rejects_non_integers(key, value):
+    with pytest.raises(ConfigError) as exc:
+        small_config("x", **{key: value})
+    assert exc.value.errors == [f"{key} must be an integer, got {value!r}"]
+
+
 def test_trial_seed_stable_and_distinct():
     assert trial_seed(1, 100, 0) == trial_seed(1, 100, 0)
     seeds = {trial_seed(1, n, t) for n in (100, 200) for t in range(5)}

@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from cheeger_lab.manifold import (CheegerReference, Circle, CircleArc,
-                                  FlatTorus2, PointCloud, Sphere2, SphereCap,
-                                  TorusStrip, continuum_cheeger, get_manifold)
+from cheeger_lab.manifold import (Circle, CircleArc, FlatTorus2, PointCloud,
+                                  Sphere2, SphereCap, TorusStrip, get_manifold)
 
 ALL = ["circle", "flat_torus_2", "sphere_2"]
 
@@ -48,6 +48,35 @@ def test_intrinsic_roundtrip(name):
     pts = mf.sample(100, seed=1).points
     back = mf.to_ambient(mf.to_intrinsic(pts))
     assert np.allclose(back, pts, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_tree_metric_contract(name):
+    """`smooth`, `transport_assign` and `_ball_site` search k-d trees by it."""
+    mf = get_manifold(name)
+    pts = mf.sample(300, seed=5).points
+    x, y = pts[:100], pts[100:]
+    (tx, box), ty = mf.tree_coords(x), mf.tree_coords(y)[0]
+    # the tree's distance of every pair, turned into the geodesic one
+    pairs = cKDTree(tx, boxsize=box).sparse_distance_matrix(
+        cKDTree(ty, boxsize=box), 2.0, output_type="ndarray")
+    assert len(pairs) == len(x) * len(y)
+    geo = mf.geodesic_distance(x[pairs["i"]], y[pairs["j"]])
+    assert np.abs(mf.tree_geodesic(pairs["v"]) - geo).max() <= 1e-12
+    # a ball of radius tree_radius(r) holds the geodesic r-ball, in tree
+    # coordinates exactly; in ambient ones exactly on the sphere, while the
+    # chord of the flat embeddings only bounds it
+    tree_t = cKDTree(np.concatenate([tx, ty]), boxsize=box)
+    tree_a = cKDTree(pts)
+    loose = 0
+    for k, r in enumerate(np.random.default_rng(5).uniform(0.01, 0.24, 20)):
+        inside = set(np.flatnonzero(mf.geodesic_distance(pts[k], pts) <= r))
+        reach = mf.tree_radius(r)
+        assert set(tree_t.query_ball_point(tree_t.data[k], reach)) == inside
+        ambient = set(tree_a.query_ball_point(pts[k], reach))
+        assert ambient >= inside
+        loose += len(ambient - inside)
+    assert (loose == 0) == (name == "sphere_2")
 
 
 def test_circle_geodesic_values():
@@ -184,18 +213,18 @@ def test_sphere_cap_perimeter_closed_form():
 
 
 def test_continuum_cheeger_constants():
-    assert continuum_cheeger(get_manifold("circle")).constant == 4.0
-    assert continuum_cheeger(get_manifold("flat_torus_2")).constant == 4.0
-    assert np.isclose(continuum_cheeger(get_manifold("sphere_2")).constant,
+    assert get_manifold("circle").cheeger_constant == 4.0
+    assert get_manifold("flat_torus_2").cheeger_constant == 4.0
+    assert np.isclose(get_manifold("sphere_2").cheeger_constant,
                       2 * np.sqrt(np.pi))
 
 
 def test_isoperimetric_profile_shapes():
-    ref = continuum_cheeger(get_manifold("flat_torus_2"))
+    ref = get_manifold("flat_torus_2")
     # small volumes favor disks, large ones strips
     assert np.isclose(ref.isoperimetric_profile(0.01), 2 * np.sqrt(np.pi * 0.01))
     assert ref.isoperimetric_profile(0.5) == 2.0
-    refs = continuum_cheeger(get_manifold("sphere_2"))
+    refs = get_manifold("sphere_2")
     v = np.linspace(0.05, 0.95, 19)
     prof = refs.isoperimetric_profile(v)
     assert np.allclose(prof, refs.isoperimetric_profile(1 - v))

@@ -7,8 +7,7 @@ from scipy.spatial import cKDTree
 from cheeger_lab import nonlocal_tv
 from cheeger_lab.errors import (DegenerateFunction, ResolutionTooCoarse,
                                 UnsupportedDimension)
-from cheeger_lab.manifold import (CircleArc, SphereCap, TorusStrip,
-                                  continuum_cheeger, get_manifold)
+from cheeger_lab.manifold import CircleArc, SphereCap, TorusStrip, get_manifold
 from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction,
                                      SmoothingKernel, cheeger_functional_form,
                                      check_bias_inequality, check_monotonicity,
@@ -371,7 +370,7 @@ def test_gradient_norm_fd_matches_analytic_gradient(name):
 @pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
 def test_smooth_blocks_change_nothing(monkeypatch, name):
     mf = get_manifold(name)
-    f = indicator_function(continuum_cheeger(mf).default_minimizer())
+    f = indicator_function(mf.default_minimizer())
     a = 0.1
     g = grid_for_scale(mf, a, 4)
     kern = SmoothingKernel(a=a, m=mf.m)
@@ -448,7 +447,7 @@ def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
                                       ("sphere_2", 0.1, 0.2)])
 def test_smoothing_chain_takes_one_gradient(monkeypatch, name, h, a):
     mf = get_manifold(name)
-    ref = continuum_cheeger(mf).default_minimizer()
+    ref = mf.default_minimizer()
     calls = []
 
     def counting_gradient(f, grid, step=None):
