@@ -29,7 +29,7 @@ def build_parser():
     p = argparse.ArgumentParser(prog="cheeger-lab",
                                 description="Graph Cheeger-cut laboratory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -22,10 +22,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
-from .manifold import Circle, FlatTorus2, PointCloud, _wrap
+from .manifold import Circle, PointCloud, _wrap
 from .nonlocal_tv import ContinuumFunction, SmoothingKernel, smooth, surface_tension
 from .proximity_graph import build_graph, gtv
-from .quadrature import QuadratureGrid, tangent_frames
+from .quadrature import QuadratureGrid
 
 
 def schedule_exponents(m):
@@ -157,65 +157,9 @@ def _match_node_values(fvals, grid: QuadratureGrid):
     """
     mf = grid.manifold
     gain = grid.weights * (np.abs(fvals - 1.0) - np.abs(fvals))
-    coord = mf.to_intrinsic(grid.nodes)
-    if isinstance(mf, Circle):
-        # the arc centred at c is the window starting at c - 1/4
-        param = float(_wrap(_best_half_window(coord, gain)[1] + 0.25))
-    elif isinstance(mf, FlatTorus2):
-        s0, o0 = _best_half_window(coord[:, 0], gain)
-        s1, o1 = _best_half_window(coord[:, 1], gain)
-        param = (1, o1) if s1 < s0 else (0, o0)  # ties go to axis 0
-    else:  # the sphere
-        param = _match_sphere(gain, coord, mf)
+    param = mf.match_family(grid.nodes, gain)
     member = mf.minimizer(param).indicator(grid.nodes)
     return grid.integrate(np.abs(fvals - member)), param
-
-
-def _best_half_window(coord, gain):
-    """(least sum, offset) of ``gain`` over the window {wrap(coord - o) < 1/2}.
-
-    The node set changes only where o or o + 1/2 crosses a coordinate, so one
-    offset per gap between these breakpoints is exact. Gaps <= 1e-9 are rounding
-    (t_k - 1/2 vs t_{k+N/2} on an even lattice) and are skipped."""
-    order = np.argsort(coord, kind="stable")
-    t = coord[order]
-    b = np.sort(_wrap(np.concatenate([t, t - 0.5])))
-    gaps = np.diff(np.append(b, b[0] + 1.0))
-    mid = _wrap(b + 0.5 * gaps)[gaps > 1e-9]
-    # the window [o, o + 1/2) on the doubled coordinates [0, 2)
-    tt = np.concatenate([t, t + 1.0])
-    csum = np.concatenate([[0.0], np.cumsum(np.tile(gain[order], 2))])
-    scores = csum[np.searchsorted(tt, mid + 0.5)] - csum[np.searchsorted(tt, mid)]
-    k = int(np.argmin(scores))
-    return float(scores[k]), float(mid[k])
-
-
-def _match_sphere(gain, u, manifold):
-    # half-volume caps {u . pole >= 0}: coarse pole grid, then tangent descent
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    k = np.arange(256)
-    z = 1.0 - 2.0 * (k + 0.5) / 256
-    rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    poles = np.stack([rad * np.cos(golden * k), rad * np.sin(golden * k), z], axis=1)
-    vals = gain @ (u @ poles.T >= 0.0)
-    best_i = int(np.argmin(vals))
-    best_v, best_p = vals[best_i], poles[best_i]
-    step = 0.2
-    for _ in range(3):
-        e1, e2 = tangent_frames(manifold, best_p[None, :])
-        for _ in range(40):
-            improved = False
-            for d in (e1[0], -e1[0], e2[0], -e2[0]):
-                cand = best_p + step * d
-                cand = cand / np.linalg.norm(cand)
-                v = gain @ (u @ cand >= 0.0)
-                if v < best_v:
-                    best_v, best_p = v, cand
-                    improved = True
-            if not improved:
-                break
-        step /= 4.0
-    return best_p
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +293,8 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
     """Mean/std/exceedance of GTV of a fixed function over random clouds."""
     if f.tv_exact is None:
         raise ValueError("requires a function with known total variation")
+    if trials < 2:
+        raise InsufficientData(f"the std of the GTV needs at least 2 trials, got {trials}")
     sigma = surface_tension(manifold.m)
     tv = f.tv_exact
     rep = UStatReport(manifold=manifold.name, tv=tv)

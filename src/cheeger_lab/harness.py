@@ -108,6 +108,14 @@ def _integer(v):
     raise _NotInteger
 
 
+def _real(v):
+    """``float(v)`` for a number. A bool or a str raises ``TypeError``: JSON
+    `true` and "0.1" are not numbers, though ``float`` takes both."""
+    if isinstance(v, (bool, str)):
+        raise TypeError
+    return float(v)
+
+
 def validate_config(source) -> ExperimentConfig:
     """Build a config from a dict or a JSON file path; collect all errors."""
     if isinstance(source, (str, Path)):
@@ -161,9 +169,9 @@ def validate_config(source) -> ExperimentConfig:
     solver = raw.get("solver", "pipeline")
     if solver not in _SOLVERS:
         errors.append(f"unknown solver {solver!r}; expected one of {sorted(_SOLVERS)}")
-    epsilons = parse("epsilons", lambda v: [float(e) for e in v])
-    epsilon_c = parse("epsilon_c", float, 2.0)
-    epsilon_k = parse("epsilon_k", float)
+    epsilons = parse("epsilons", lambda v: [_real(e) for e in v])
+    epsilon_c = parse("epsilon_c", _real, 2.0)
+    epsilon_k = parse("epsilon_k", _real)
     if errors:
         raise ConfigError(errors)
     cfg = ExperimentConfig(
@@ -281,18 +289,10 @@ def _worker(args):
     return str(path)
 
 
-def default_workers():
-    env = os.environ.get("CHEEGER_LAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def run_experiment(cfg: ExperimentConfig, workers=None) -> dict:
+def run_experiment(cfg: ExperimentConfig, workers=1) -> dict:
     """Execute the sweep; returns {records, rates, digest, summary_path}."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = workers or default_workers()
     want = config_hash(cfg)
     pending = []
     for n in cfg.n_list:

@@ -113,6 +113,9 @@ class Manifold:
     tree whose distance d is monotone in the geodesic one,
     ``tree_geodesic(d)``, and a ball of radius ``tree_radius(r)`` holds every
     point within geodesic distance r, in ambient and in tree coordinates.
+    And its steps: ``frame(x)``, m orthonormal tangent fields at intrinsic x;
+    ``walk(x, e, step)``, the ambient point a step along one; and
+    ``match_family(points, gain)``, the minimizer of least ``gain`` sum.
     """
 
     name: str
@@ -162,6 +165,25 @@ class Manifold:
         return f"<{type(self).__name__} m={self.m} d={self.d}>"
 
 
+def _best_half_window(coord, gain):
+    """(least sum, offset) of ``gain`` over the window {wrap(coord - o) < 1/2}.
+
+    The node set changes only where o or o + 1/2 crosses a coordinate, so one
+    offset per gap between these breakpoints is exact. Gaps <= 1e-9 are rounding
+    (t_k - 1/2 vs t_{k+N/2} on an even lattice) and are skipped."""
+    order = np.argsort(coord, kind="stable")
+    t = coord[order]
+    b = np.sort(_wrap(np.concatenate([t, t - 0.5])))
+    gaps = np.diff(np.append(b, b[0] + 1.0))
+    mid = _wrap(b + 0.5 * gaps)[gaps > 1e-9]
+    # the window [o, o + 1/2) on the doubled coordinates [0, 2)
+    tt = np.concatenate([t, t + 1.0])
+    csum = np.concatenate([[0.0], np.cumsum(np.tile(gain[order], 2))])
+    scores = csum[np.searchsorted(tt, mid + 0.5)] - csum[np.searchsorted(tt, mid)]
+    k = int(np.argmin(scores))
+    return float(scores[k]), float(mid[k])
+
+
 class FlatTorus(Manifold):
     """The flat unit-period m-torus: the circle (m = 1) and the 2-torus.
 
@@ -174,6 +196,14 @@ class FlatTorus(Manifold):
 
     def __init__(self):
         self.radius = 1.0 / TWO_PI  # per-factor circle radius; unit volume
+
+    def _sample(self, rng, n):
+        t = rng.random((n, self.m))
+        return self.to_ambient(t[:, 0] if self.m == 1 else t)
+
+    def intrinsic_distance(self, a, b):
+        d = _wrap_dist(a, b)
+        return d if self.m == 1 else np.sqrt(np.sum(d * d, axis=-1))
 
     def to_ambient(self, t):
         """One (cos, sin) pair, times the radius, per coordinate of t; the
@@ -204,18 +234,27 @@ class FlatTorus(Manifold):
     def tree_geodesic(self, d):
         return d
 
+    def frame(self, x):
+        """The coordinate axes, the same unit tangents at every point."""
+        return np.eye(self.m)
+
+    def walk(self, x, e, step):
+        """Ambient point reached from intrinsic x by `step` along the unit e."""
+        return self.to_ambient(x + step * e)
+
+    def match_family(self, points, gain):
+        """Parameter of the minimizer whose nodes have the least sum of
+        ``gain``: the best half-window on each axis, ties to the lower axis."""
+        coord = self.to_intrinsic(points).reshape(len(points), -1)
+        best = [_best_half_window(coord[:, k], gain) for k in range(self.m)]
+        axis = min(range(self.m), key=lambda k: best[k][0])
+        return self.window_param(axis, best[axis][1])
+
 
 class Circle(FlatTorus):
     name = "circle"
     m = 1
     d = 2
-
-    def _sample(self, rng, n):
-        t = rng.random(n)
-        return self.to_ambient(t)
-
-    def intrinsic_distance(self, a, b):
-        return _wrap_dist(a, b)
 
     def ball_volume(self, r):
         return min(2.0 * r, 1.0)
@@ -234,6 +273,10 @@ class Circle(FlatTorus):
     def default_minimizer(self):
         return self.minimizer(0.25)
 
+    def window_param(self, axis, start):
+        """The arc centred at c is the window starting at c - 1/4."""
+        return float(_wrap(start + 0.25))
+
     def isoperimetric_profile(self, v):
         v = np.asarray(v, dtype=float)
         return np.where((v > 0) & (v < 1), 2.0, 0.0)
@@ -243,15 +286,6 @@ class FlatTorus2(FlatTorus):
     name = "flat_torus_2"
     m = 2
     d = 4
-
-    def _sample(self, rng, n):
-        uv = rng.random((n, 2))
-        return self.to_ambient(uv)
-
-    def intrinsic_distance(self, a, b):
-        du = _wrap_dist(a[..., 0], b[..., 0])
-        dv = _wrap_dist(a[..., 1], b[..., 1])
-        return np.sqrt(du * du + dv * dv)
 
     def ball_volume(self, r):
         if r > 0.5:
@@ -273,6 +307,9 @@ class FlatTorus2(FlatTorus):
 
     def default_minimizer(self):
         return self.minimizer((0, 0.0))
+
+    def window_param(self, axis, start):
+        return (axis, start)
 
     def isoperimetric_profile(self, v):
         v = np.asarray(v, dtype=float)
@@ -343,6 +380,50 @@ class Sphere2(Manifold):
         """Geodesic distance of ambient chords of length d; inverts `tree_radius`."""
         return 2.0 * self.radius * np.arcsin(np.minimum(d / (2.0 * self.radius), 1.0))
 
+    def frame(self, u):
+        """Two orthonormal tangent vectors at each unit direction."""
+        u = np.asarray(u, dtype=float)
+        ref = np.zeros_like(u)
+        # pick the most orthogonal coordinate axis per point
+        ref[np.arange(len(u)), np.argmin(np.abs(u), axis=-1)] = 1.0
+        e1 = np.cross(u, ref)
+        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        return e1, np.cross(u, e1)
+
+    def walk(self, u, e, step):
+        """Ambient point reached by walking `step` along a unit tangent."""
+        theta = step / self.radius
+        return self.to_ambient(np.cos(theta) * u + np.sin(theta) * e)
+
+    def match_family(self, points, gain):
+        """Pole of the half-volume cap {u . pole >= 0} with the least sum of
+        ``gain``: a coarse pole grid, then tangent descent."""
+        u = self.to_intrinsic(points)
+        golden = np.pi * (3.0 - np.sqrt(5.0))
+        k = np.arange(256)
+        z = 1.0 - 2.0 * (k + 0.5) / 256
+        rad = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+        poles = np.stack([rad * np.cos(golden * k), rad * np.sin(golden * k), z], axis=1)
+        vals = gain @ (u @ poles.T >= 0.0)
+        best_i = int(np.argmin(vals))
+        best_v, best_p = vals[best_i], poles[best_i]
+        step = 0.2
+        for _ in range(3):
+            e1, e2 = self.frame(best_p[None, :])
+            for _ in range(40):
+                improved = False
+                for d in (e1[0], -e1[0], e2[0], -e2[0]):
+                    cand = best_p + step * d
+                    cand = cand / np.linalg.norm(cand)
+                    v = gain @ (u @ cand >= 0.0)
+                    if v < best_v:
+                        best_v, best_p = v, cand
+                        improved = True
+                if not improved:
+                    break
+            step /= 4.0
+        return best_p
+
 
 _REGISTRY = {
     "circle": Circle,
@@ -368,6 +449,7 @@ class ReferenceSet:
     manifold: Manifold
     volume: float
     perimeter: float
+    zonal_axis = None  # an axis the set is invariant under rotation about
 
     def indicator(self, points):
         raise NotImplementedError
@@ -407,7 +489,7 @@ class SphereCap(ReferenceSet):
         assert 0.0 < volume < 1.0
         self.manifold = manifold
         pole = np.asarray(pole, dtype=float)
-        self.pole = pole / np.linalg.norm(pole)
+        self.pole = self.zonal_axis = pole / np.linalg.norm(pole)
         self.volume = float(volume)
         # cap of volume fraction v on the unit-area sphere
         self.cos_threshold = 1.0 - 2.0 * self.volume

@@ -23,9 +23,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
                      UnsupportedDimension)
-from .manifold import ReferenceSet, Sphere2, SphereCap
-from .quadrature import (QuadratureGrid, grid_for_scale, sphere_exp,
-                         tangent_frames)
+from .quadrature import QuadratureGrid, grid_for_scale
 
 _SIGMA = {1: 1.0, 2: 4.0 / 3.0, 3: np.pi / 2.0}
 
@@ -56,11 +54,10 @@ class ContinuumFunction:
         return np.asarray(self.evaluator(np.asarray(points, dtype=float)))
 
 
-def indicator_function(ref: ReferenceSet) -> ContinuumFunction:
+def indicator_function(ref) -> ContinuumFunction:
     """ContinuumFunction wrapping a reference set's indicator."""
-    axis = ref.pole if isinstance(ref, SphereCap) else None
     return ContinuumFunction(evaluator=ref.indicator, bound=1.0,
-                             tv_exact=ref.perimeter, zonal_axis=axis)
+                             tv_exact=ref.perimeter, zonal_axis=ref.zonal_axis)
 
 
 def constant_function(c) -> ContinuumFunction:
@@ -118,11 +115,11 @@ def tv_nonlocal(f: ContinuumFunction, h, grid: QuadratureGrid) -> float:
     if grid.spacing > h / 4.0 + 1e-12:
         raise ResolutionTooCoarse(
             f"grid spacing {grid.spacing:.4g} coarser than h/4 = {h / 4:.4g}")
-    if isinstance(mf, Sphere2):
-        if f.zonal_axis is not None:
-            return _tvh_sphere_zonal(f, h, mf)
-        return _tvh_sphere_pairs(f(grid.nodes), h, grid)
-    return _tvh_lattice(f(grid.nodes).reshape(grid.lattice_shape), h)
+    if grid.lattice_shape:
+        return _tvh_lattice(f(grid.nodes).reshape(grid.lattice_shape), h)
+    if f.zonal_axis is not None:
+        return _tvh_sphere_zonal(f, h, mf)
+    return _tvh_sphere_pairs(f(grid.nodes), h, grid)
 
 
 def _hat_cdf(x, center, s):
@@ -217,15 +214,11 @@ def _tvh_sphere_pairs(values, h, grid):
     return 2.0 * float(terms.sum()) / h ** 3
 
 
-def _tvh_sphere_zonal(f: ContinuumFunction, h, mf: Sphere2):
+def _tvh_sphere_zonal(f: ContinuumFunction, h, mf):
     """Axisymmetric band reduction: exact in azimuth, midpoint in latitude."""
     axis = np.asarray(f.zonal_axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    # orthonormal completion
-    ref = np.zeros(3)
-    ref[np.argmin(np.abs(axis))] = 1.0
-    e1 = np.cross(axis, ref)
-    e1 /= np.linalg.norm(e1)
+    e1 = mf.frame(axis[None])[0][0]  # a unit tangent at the pole
     z_edges = np.linspace(-1.0, 1.0, ZONAL_BANDS + 1)
     zc = 0.5 * (z_edges[:-1] + z_edges[1:])
     w = 1.0 / ZONAL_BANDS
@@ -269,18 +262,14 @@ def tv_local_smooth(f: ContinuumFunction, grid: QuadratureGrid) -> float:
 
 
 def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid, step=None):
-    """|grad f| at grid nodes by central differences in intrinsic coordinates."""
+    """|grad f| at grid nodes by central differences along the manifold's
+    tangent frame (``frame`` and ``walk``)."""
     mf = grid.manifold
     if step is None:
         step = grid.spacing / 8.0
     x = grid.intrinsic
-    if isinstance(mf, Sphere2):
-        ends = ((sphere_exp(mf, x, e, step), sphere_exp(mf, x, e, -step))
-                for e in tangent_frames(mf, x))
-    else:
-        ends = ((mf.to_ambient(x + step * e), mf.to_ambient(x - step * e))
-                for e in np.eye(mf.m))
-    comps = ((f(fwd) - f(back)) / (2.0 * step) for fwd, back in ends)
+    comps = ((f(mf.walk(x, e, step)) - f(mf.walk(x, e, -step))) / (2.0 * step)
+             for e in mf.frame(x))
     return reduce(np.hypot, comps, 0.0)
 
 
@@ -354,7 +343,7 @@ class CheckReport:
         return {"name": self.name, "passed": self.passed, "entries": self.entries}
 
 
-def check_bias_inequality(manifold, ref: ReferenceSet, h_list,
+def check_bias_inequality(manifold, ref, h_list,
                           grid_factor=8) -> CheckReport:
     """TV_h(1_E) <= (1 + C h^2) sigma * TV(1_E) on a reference set."""
     rep = CheckReport(name="bias_inequality")
@@ -388,7 +377,7 @@ def check_monotonicity(f: ContinuumFunction, h, a_list, manifold,
     return rep
 
 
-def check_smoothing_chain(manifold, ref: ReferenceSet, h, a,
+def check_smoothing_chain(manifold, ref, h, a,
                           grid_factor=8) -> CheckReport:
     """sigma TV(Lambda_a f) vs TV_h(f), and the L1 closeness of Lambda_a f.
 

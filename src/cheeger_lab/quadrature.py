@@ -92,23 +92,3 @@ def grid_for_scale(manifold, scale, factor=4):
     n = int(np.ceil(factor / scale))
     n += n % 2  # even subdivision keeps reference-set edges on cell lines
     return build_grid(manifold, n)
-
-
-def tangent_frames(manifold: Sphere2, unit_dirs):
-    """Two orthonormal tangent vectors at each unit direction."""
-    u = np.asarray(unit_dirs, dtype=float)
-    ref = np.zeros_like(u)
-    # pick the most orthogonal coordinate axis per point
-    idx = np.argmin(np.abs(u), axis=-1)
-    ref[np.arange(len(u)), idx] = 1.0
-    e1 = np.cross(u, ref)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(u, e1)
-    return e1, e2
-
-
-def sphere_exp(manifold: Sphere2, unit_dirs, tangent, step):
-    """Ambient point reached by walking `step` along a unit tangent."""
-    theta = step / manifold.radius
-    u = np.cos(theta) * unit_dirs + np.sin(theta) * tangent
-    return manifold.to_ambient(u)

@@ -334,6 +334,13 @@ def test_ustat_requires_known_tv():
         ustat_concentration(CIRCLE, f, [50], 0.1, trials=2, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, 1])
+def test_ustat_requires_two_trials(trials):
+    f = indicator_function(CIRCLE.default_minimizer())
+    with pytest.raises(InsufficientData, match="at least 2 trials"):
+        ustat_concentration(CIRCLE, f, [50], 0.1, trials=trials, seed=0)
+
+
 def test_cut_l1_error_on_planted_instance():
     rng = np.random.default_rng(6)
     t = np.concatenate([rng.random(9) * 0.3, 0.5 + rng.random(9) * 0.3])

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -109,6 +110,16 @@ def test_validate_config_rejects_non_integers(key, value):
     with pytest.raises(ConfigError) as exc:
         small_config("x", **{key: value})
     assert exc.value.errors == [f"{key} must be an integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epsilon_c", True), ("epsilon_k", True), ("epsilon_c", "2.0"),
+    ("epsilons", ["0.1", "0.05"])])
+def test_validate_config_refuses_bools_and_strings_as_reals(key, value):
+    # float() takes JSON true as 1.0 and "0.1" as 0.1; neither is a number
+    with pytest.raises(ConfigError) as exc:
+        small_config("x", **{key: value})
+    assert exc.value.errors == [f"{key} must be numeric, got {value!r}"]
 
 
 def test_trial_seed_stable_and_distinct():
@@ -401,9 +412,15 @@ def test_cli_ustat(tmp_path, capsys):
     assert [e["n"] for e in rep["entries"]] == [100, 200]
 
 
-def test_workers_env_default(monkeypatch):
-    from cheeger_lab.harness import default_workers
-    monkeypatch.setenv("CHEEGER_LAB_WORKERS", "6")
-    assert default_workers() == 6
-    monkeypatch.delenv("CHEEGER_LAB_WORKERS")
-    assert default_workers() == 1
+def test_cli_ustat_refuses_a_single_trial(tmp_path, capsys):
+    # one trial has no std (ddof = 1); NaN would not be valid JSON
+    out = tmp_path / "ustat.json"
+    assert cli.main(["--out", str(out), "ustat", "--manifold", "circle",
+                     "--n", "50,100", "--trials", "1"]) == 3
+    assert "at least 2 trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_default_to_one():
+    assert inspect.signature(harness.run_experiment).parameters["workers"].default == 1
+    assert cli.build_parser().parse_args(["validate", "--config", "c.json"]).workers == 1

@@ -1,12 +1,17 @@
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from cheeger_lab import manifold
 from cheeger_lab.manifold import (Circle, CircleArc, FlatTorus2, PointCloud,
-                                  Sphere2, SphereCap, TorusStrip, get_manifold)
+                                  Sphere2, SphereCap, TorusStrip,
+                                  _best_half_window, get_manifold)
+from cheeger_lab.quadrature import build_grid
 
 ALL = ["circle", "flat_torus_2", "sphere_2"]
 
@@ -238,3 +243,69 @@ def test_unknown_manifold_raises():
 def test_sample_rejects_bad_n():
     with pytest.raises(ValueError):
         get_manifold("circle").sample(0, seed=1)
+
+
+def test_torus_match_family_ties_go_to_the_lower_axis():
+    # on a 16 x 16 lattice every gain is +-1/256, so every window sum is exact
+    torus = get_manifold("flat_torus_2")
+    g = build_grid(torus, 16)
+    u, v = g.intrinsic[:, 0], g.intrinsic[:, 1]
+
+    def gain_of(f):
+        return g.weights * (np.abs(f - 1.0) - np.abs(f))
+
+    def match(f):
+        return torus.match_family(g.nodes, gain_of(f))
+
+    # symmetric under u <-> v: both axes reach the same least sum
+    square = ((u < 0.5) & (v < 0.5)).astype(float)
+    assert (_best_half_window(u, gain_of(square))[0]
+            == _best_half_window(v, gain_of(square))[0])
+    assert match(square)[0] == 0
+    # an asymmetric function and its transpose match the two axes
+    strip = ((u < 0.5) | ((u < 0.625) & (v < 0.125))).astype(float)
+    flipped = ((v < 0.5) | ((v < 0.625) & (u < 0.125))).astype(float)
+    axis, start = match(strip)
+    assert axis == 0 and match(flipped) == (1, start)
+
+
+class _IsinstanceSites(ast.NodeVisitor):
+    """(module, function) of each isinstance against one of ``classes``."""
+
+    def __init__(self, module, classes):
+        self.module, self.classes, self.scope, self.sites = module, classes, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2):
+            names = {getattr(n, "id", getattr(n, "attr", None))
+                     for n in ast.walk(node.args[1])}
+            if names & self.classes:
+                self.sites.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_manifold_isinstance_sites_guard_only_circle_algorithms_and_grids():
+    # every other manifold-kind decision is a method of the manifold classes
+    classes = {name for name, obj in vars(manifold).items()
+               if isinstance(obj, type)
+               and issubclass(obj, (manifold.Manifold, manifold.ReferenceSet))}
+    sites = []
+    for path in sorted(Path(manifold.__file__).parent.glob("*.py")):
+        visitor = _IsinstanceSites(path.stem, classes)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sorted(sites) == [
+        ("consistency", "_ball_site"),
+        ("consistency", "circle_transport_delta"),
+        ("cut_solvers", "solve_arc_sweep"),
+        ("cut_solvers", "solve_pipeline"),
+        ("harness", "run_trial"),
+        ("quadrature", "build_grid"),
+        ("quadrature", "grid_for_scale"),
+    ]

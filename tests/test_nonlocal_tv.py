@@ -15,8 +15,7 @@ from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction,
                                      gradient_norm_fd, indicator_function,
                                      smooth, surface_tension, tv_local_smooth,
                                      tv_nonlocal)
-from cheeger_lab.quadrature import (build_grid, grid_for_scale, sphere_exp,
-                                    tangent_frames)
+from cheeger_lab.quadrature import build_grid, grid_for_scale
 
 CIRCLE = get_manifold("circle")
 TORUS = get_manifold("flat_torus_2")
@@ -397,14 +396,11 @@ def _oracle_points(mf, g):
     """Samples, grid nodes, seam points and nodes pushed a fraction of a cell."""
     step = g.spacing / 8.0
     x = g.intrinsic[::7]
+    pushed = [mf.walk(x, e, s) for e in mf.frame(x) for s in (step, -step)]
     if mf.name == "sphere_2":
-        pushed = [sphere_exp(mf, x, e, s) for e in tangent_frames(mf, x)
-                  for s in (step, -step)]
         # the poles, where the grid's latitude bands close up, and the equator
         seam = mf.to_ambient(np.array([[0, 0, 1.0], [0, 0, -1.0], [1.0, 0, 0]]))
     else:
-        pushed = [mf.to_ambient(x + s * e) for e in np.eye(mf.m)
-                  for s in (step, -step)]
         # intrinsic -1e-17 wraps to 1.0, outside the periodic unit box
         edge = [-1e-17, 0.0, 1.0 - 1e-17, 0.5]
         seam = mf.to_ambient(np.array(edge if mf.m == 1 else
