@@ -295,6 +295,9 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
         raise ValueError("requires a function with known total variation")
     if trials < 2:
         raise InsufficientData(f"the std of the GTV needs at least 2 trials, got {trials}")
+    small = [n for n in n_list if n < 2]
+    if small:
+        raise InsufficientData(f"a graph needs at least 2 points, got n={small[0]}")
     sigma = surface_tension(manifold.m)
     tv = f.tv_exact
     rep = UStatReport(manifold=manifold.name, tv=tv)

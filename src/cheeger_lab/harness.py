@@ -291,6 +291,8 @@ def _worker(args):
 
 def run_experiment(cfg: ExperimentConfig, workers=1) -> dict:
     """Execute the sweep; returns {records, rates, digest, summary_path}."""
+    if not is_int(workers) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     want = config_hash(cfg)

@@ -84,6 +84,8 @@ def build_grid(manifold, resolution) -> QuadratureGrid:
 
 def grid_for_scale(manifold, scale, factor=4):
     """Grid fine enough that spacing <= scale/factor."""
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"scale={scale} must be positive and finite")
     if isinstance(manifold, Sphere2):
         # spacing ~ pi*r/n_bands and n_bands ~ sqrt(N*pi)/2
         n_bands = int(np.ceil(np.pi * manifold.radius * factor / scale))

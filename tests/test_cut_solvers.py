@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
@@ -12,7 +13,8 @@ from cheeger_lab.manifold import PointCloud, get_manifold
 from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                         cheeger_ratio, cut_and_balance,
                                         objective)
-from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_TOL, _best_sweep_k,
+from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_MAXITER, LOBPCG_TOL,
+                                     _best_sweep_k, _start_block,
                                      canonical_subset, fiedler_vector,
                                      refine_local_search, result_from_subset,
                                      solve_arc_sweep, solve_exact,
@@ -288,6 +290,29 @@ def test_eigen_solve_converges_without_a_stall(name, monkeypatch):
     assert res <= LOBPCG_TOL
     # one residual row for the start, each iteration and the final Ritz step
     assert len(histories) == 1 and len(histories[0]) < 100
+
+
+# L = D - W is exactly symmetric, so its CSC view L.T multiplies bit for bit
+# as the CSR L does, and LOBPCG on the view returns the row kernel's floats
+@pytest.mark.parametrize("name,n,eps,seed", [("circle", 300, 0.1, 7),
+                                             ("flat_torus_2", 900, 0.2, 8),
+                                             ("sphere_2", 1500, 0.2, 9)])
+def test_column_view_solve_is_bit_equal_to_the_row_kernel(name, n, eps, seed):
+    g = build_graph(get_manifold(name).sample(n, seed=seed), eps)
+    L = sp.diags(g.degrees, dtype=float) - g.adjacency
+    X = _start_block(g.points)
+    for block in (np.ascontiguousarray(X), np.asfortranarray(X)):
+        assert np.array_equal(L.T @ block, L @ block)
+    # lobpcg overwrites its start block in place, and the block's memory
+    # order changes its floats, so this run gets a copy in the same order
+    Y = np.ones((n, 1)) / np.sqrt(n)
+    with np.errstate(all="ignore"):
+        vals, vecs = spla.lobpcg(L, X.copy(order="K"), Y=Y, tol=LOBPCG_TOL,
+                                 maxiter=LOBPCG_MAXITER, largest=False)
+    want = vecs[:, 0]
+    v, res = fiedler_vector(g)
+    assert np.array_equal(v, want)
+    assert res == float(np.linalg.norm(L @ want - vals[0] * want))
 
 
 def test_spectral_sweep_on_a_graph_loaded_without_its_cloud(tmp_path):

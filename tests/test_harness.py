@@ -421,6 +421,46 @@ def test_cli_ustat_refuses_a_single_trial(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0,200", "1"])
+def test_cli_ustat_refuses_fewer_than_two_points(tmp_path, capsys, n):
+    # epsilon = n^(-1/2) has no value at n = 0, and one point has no edge
+    out = tmp_path / "ustat.json"
+    assert cli.main(["--out", str(out), "ustat", "--manifold", "circle",
+                     "--n", n, "--trials", "3"]) == 3
+    assert "at least 2 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("h", ["0", "-0.1", "0.05,0"])
+def test_cli_nonlocal_check_refuses_a_scale_that_is_not_positive(capsys, h):
+    assert cli.main(["nonlocal-check", "--manifold", "circle", "--h", h]) == 3
+    assert "scale=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+def test_run_experiment_refuses_a_worker_count_below_one(tmp_path, workers):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="workers"):
+        run_experiment(small_config(out), workers=workers)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_refuses_a_worker_count_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "run"
+    assert cli.main(["--workers", workers, "--out", str(out), "converge",
+                     "--manifold", "circle", "--n", "100", "--trials", "2"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_worker_count_that_is_not_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["--workers", "1.5", "converge",
+                                       "--manifold", "circle", "--n", "100"])
+    assert exc.value.code == 2
+
+
 def test_workers_default_to_one():
     assert inspect.signature(harness.run_experiment).parameters["workers"].default == 1
     assert cli.build_parser().parse_args(["validate", "--config", "c.json"]).workers == 1
