@@ -6,14 +6,17 @@ The discrete Cheeger problem is NP-hard, so we provide:
 * ``solve_arc_sweep``     -- exact over contiguous arcs of a circle cloud;
 * ``solve_spectral_sweep``-- Fiedler-vector threshold sweep;
 * ``refine_local_search`` -- greedy single-vertex moves;
-* ``solve_pipeline``      -- spectral (+ arc) sweep followed by local search;
-  this upper-bounds the true minimum.
+* ``solve_pipeline``      -- one start cut followed by local search: the arc
+  sweep on a circle cloud, the spectral sweep on any other graph; this
+  upper-bounds the true minimum.
 
 Every solver scores a cut with ``proximity_graph.cheeger_ratio``, so a set
 and its complement score the same float, and returns it through
-``result_from_subset``, which takes the certificate from ``CERTIFICATES``. Subsets are stored canonically as the
-side containing vertex 0, sorted. Among subsets with equal float value, ties
-go to the lexicographically smallest canonical subset.
+``result_from_subset``, which takes the certificate from ``CERTIFICATES``.
+Subsets are stored canonically as the side containing vertex 0, sorted.
+``solve_exact`` breaks ties between subsets of equal float value toward the
+lexicographically smallest canonical subset; the arc sweep toward the
+shortest arc, then the first start in angular order.
 """
 
 from __future__ import annotations
@@ -368,24 +371,25 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 # ---------------------------------------------------------------------------
 
 def solve_pipeline(graph: ProximityGraph) -> CutResult:
-    """Default estimator: spectral (+ arc) sweep, then local search."""
-    candidates = []
+    """Default estimator: one start cut, then local search.
+
+    A circle cloud starts from the arc sweep, exact over every arc, so no
+    eigen solve runs there. Any other graph starts from the spectral sweep,
+    or from the trivial cut [0] when the eigen solve fails (``degraded``).
+    """
     degraded = False
-    eigen_residual = None  # stays None when the solve fails or is not needed
-    try:
-        candidates.append(solve_spectral_sweep(graph))
-        eigen_residual = candidates[0].extras.get("eigen_residual")
-    except EigenNotConverged:
-        degraded = True
-    is_circle = graph.cloud is not None and isinstance(graph.cloud.manifold, Circle)
-    if is_circle:
-        candidates.append(solve_arc_sweep(graph))
-    if not candidates:
-        # spectral failed and no arc structure: fall back to a trivial start
-        candidates.append(result_from_subset(graph, [0], solver="fallback"))
+    eigen_residual = None  # stays None when the solve fails or is not run
+    if graph.cloud is not None and isinstance(graph.cloud.manifold, Circle):
+        start = solve_arc_sweep(graph)
+    else:
+        try:
+            start = solve_spectral_sweep(graph)
+            eigen_residual = start.extras.get("eigen_residual")
+        except EigenNotConverged:
+            degraded = True
+            start = result_from_subset(graph, [0], solver="fallback")
     # a search that moves nothing returns its start, whose solver then wins
-    refined = [refine_local_search(graph, c) for c in candidates]
-    best = min(refined, key=lambda r: (r.objective_value, r.subset.tolist()))
-    return replace(best, solver="pipeline", certificate="Heuristic",
-                   extras={"degraded": degraded, "winner": best.solver,
-                           "eigen_residual": eigen_residual, **best.extras})
+    cut = refine_local_search(graph, start)
+    return replace(cut, solver="pipeline", certificate="Heuristic",
+                   extras={"degraded": degraded, "winner": cut.solver,
+                           "eigen_residual": eigen_residual, **cut.extras})

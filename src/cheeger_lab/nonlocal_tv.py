@@ -346,6 +346,9 @@ class CheckReport:
 def check_bias_inequality(manifold, ref, h_list,
                           grid_factor=8) -> CheckReport:
     """TV_h(1_E) <= (1 + C h^2) sigma * TV(1_E) on a reference set."""
+    if not len(h_list):
+        # a report with no entries would read as passed
+        raise ValueError("bias inequality check needs at least one scale h")
     rep = CheckReport(name="bias_inequality")
     sigma = surface_tension(manifold.m)
     f = indicator_function(ref)

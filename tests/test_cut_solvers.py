@@ -376,7 +376,7 @@ def test_every_result_path_scores_and_certifies_its_cut(path, monkeypatch):
         res = solve_pipeline(g)
         assert not res.extras["degraded"]
     else:
-        # the eigen solve fails on a torus cloud: no arc candidate either
+        # the eigen solve fails on a torus cloud: the trivial cut is the start
         monkeypatch.setattr(cut_solvers, "fiedler_vector", _failing_eigen_solve)
         g = build_graph(torus, 0.25)
         res = solve_pipeline(g)
@@ -386,3 +386,27 @@ def test_every_result_path_scores_and_certifies_its_cut(path, monkeypatch):
     assert res.certificate == CERTIFICATES.get(res.solver, "Heuristic")
     assert (res.gtv, res.balance) == cut_and_balance(g, res.subset)
     assert res.objective_value == objective(g, res.subset)
+
+
+def test_circle_pipeline_starts_from_the_arc_sweep_alone(monkeypatch):
+    # no eigen solve runs on a circle cloud, so its failure cannot degrade it
+    monkeypatch.setattr(cut_solvers, "fiedler_vector", _failing_eigen_solve)
+    g = build_graph(get_manifold("circle").sample(300, seed=6), 2 * 300 ** -0.5)
+    res = solve_pipeline(g)
+    want = refine_local_search(g, solve_arc_sweep(g))
+    assert not res.extras["degraded"] and res.extras["eigen_residual"] is None
+    assert res.extras["winner"] == want.solver
+    assert np.array_equal(res.subset, want.subset)
+    assert res.objective_value == want.objective_value
+
+
+def test_spectral_start_never_beats_the_arc_start_on_the_circle():
+    # why the circle pipeline runs no spectral sweep: refined from the
+    # Fiedler sweep, the cut never scores below the refined exact arc cut
+    mf = get_manifold("circle")
+    for seed in range(20):
+        n = 300 + 10 * seed
+        g = build_graph(mf.sample(n, seed=seed), 2 * n ** -0.5)
+        arc = refine_local_search(g, solve_arc_sweep(g))
+        spec = refine_local_search(g, solve_spectral_sweep(g))
+        assert not spec.objective_value < arc.objective_value, (n, seed)

@@ -149,9 +149,15 @@ def test_record_stage_times_and_edge_count(tmp_path):
 
 
 def test_record_shows_how_the_solver_got_there(tmp_path):
+    # the pipeline starts a circle cloud from the arc sweep: no eigen solve
     cfg = small_config(tmp_path / "c", n_list=[200])
     rec = run_trial(cfg, 200, 0)
-    assert rec["winner"] in ("spectral_sweep", "arc_sweep", "local_search")
+    assert rec["winner"] in ("arc_sweep", "local_search")
+    assert rec["degraded"] is False and rec["eigen_residual"] is None
+    cfg = small_config(tmp_path / "t", manifold="flat_torus_2", n_list=[150],
+                       epsilons=[0.25])
+    rec = run_trial(cfg, 150, 0)
+    assert rec["winner"] in ("spectral_sweep", "local_search")
     assert rec["degraded"] is False
     assert 0.0 <= rec["eigen_residual"] <= LOBPCG_TOL
     cfg = small_config(tmp_path / "a", n_list=[200], solver="arc")
@@ -169,7 +175,12 @@ def test_digest_ignores_stage_times(tmp_path):
     retimed = [dict(r, stage_s={k: v + 1.0 for k, v in r["stage_s"].items()})
                for r in records]
     assert run_digest(retimed) == run_digest(records)
-    # the residual's last bits follow the BLAS threading, not the config
+    # the residual's last bits follow the BLAS threading, not the config;
+    # circle records carry none, so the torus's eigen solve supplies them
+    records = run_experiment(small_config(
+        tmp_path / "torus", manifold="flat_torus_2", n_list=[150],
+        epsilons=[0.25]))["records"]
+    assert all(r["eigen_residual"] > 0.0 for r in records)
     shaken = [dict(r, eigen_residual=2.0 * r["eigen_residual"]) for r in records]
     assert run_digest(shaken) == run_digest(records)
     assert run_digest([dict(r, winner="other") for r in records]) != \
@@ -435,6 +446,14 @@ def test_cli_ustat_refuses_fewer_than_two_points(tmp_path, capsys, n):
 def test_cli_nonlocal_check_refuses_a_scale_that_is_not_positive(capsys, h):
     assert cli.main(["nonlocal-check", "--manifold", "circle", "--h", h]) == 3
     assert "scale=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [",", ""])
+def test_cli_nonlocal_check_refuses_an_empty_scale_list(capsys, h):
+    # a report with no entries would print "passed": true
+    assert cli.main(["nonlocal-check", "--manifold", "circle", "--h", h]) == 3
+    captured = capsys.readouterr()
+    assert "at least one scale" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("workers", [0, -2, 1.5, True])

@@ -215,6 +215,11 @@ def test_bias_inequality_reports():
         assert e["ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bias_inequality_refuses_an_empty_scale_list():
+    with pytest.raises(ValueError, match="at least one scale"):
+        check_bias_inequality(CIRCLE, CircleArc(CIRCLE, center=0.0), [])
+
+
 def test_monotonicity_check_and_degenerate():
     f = indicator_function(CircleArc(CIRCLE, center=0.25))
     rep = check_monotonicity(f, 0.02, [0.05, 0.1, 0.2], CIRCLE)
