@@ -23,7 +23,8 @@ from scipy.spatial import cKDTree
 
 from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
 from .manifold import Circle, PointCloud, _wrap
-from .nonlocal_tv import ContinuumFunction, SmoothingKernel, smooth, surface_tension
+from .nonlocal_tv import (CHECK_C, ContinuumFunction, SmoothingKernel, smooth,
+                          surface_tension)
 from .proximity_graph import build_graph, gtv
 from .quadrature import QuadratureGrid
 
@@ -309,7 +310,8 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
             cloud = manifold.sample(n, seed=int(rng.integers(2 ** 62)))
             graph = build_graph(cloud, eps)
             vals[t] = gtv(graph, f(cloud.points))
-        bound0 = sigma * tv * (1.0 + 10.0 * eps * eps)
+        # the bias inequality's (1 + C eps^2) sigma TV
+        bound0 = sigma * tv * (1.0 + CHECK_C * eps * eps)
         exceed = {float(z): float(np.mean(vals > bound0 + z)) for z in ZETA_GRID}
         rep.entries.append({"n": int(n), "epsilon": eps,
                             "mean": float(vals.mean()),

@@ -5,7 +5,8 @@ The discrete Cheeger problem is NP-hard, so we provide:
 * ``solve_exact``         -- full enumeration for n <= 24;
 * ``solve_arc_sweep``     -- exact over contiguous arcs of a circle cloud;
 * ``solve_spectral_sweep``-- Fiedler-vector threshold sweep;
-* ``refine_local_search`` -- greedy single-vertex moves;
+* ``refine_local_search`` -- greedy single-vertex moves, each one lowering
+  the ratio;
 * ``solve_pipeline``      -- one start cut followed by local search: the arc
   sweep on a circle cloud, the spectral sweep on any other graph; this
   upper-bounds the true minimum.
@@ -271,8 +272,8 @@ def fiedler_vector(graph: ProximityGraph):
     lam = float(vals[0])
     res = float(np.linalg.norm(L @ v - lam * v))
     if not np.isfinite(res) or res > 1e-5 * max(1.0, float(deg.max())):
-        raise EigenNotConverged("Fiedler iteration did not converge",
-                                iterations=LOBPCG_MAXITER, residual=res)
+        raise EigenNotConverged(
+            f"Fiedler iteration did not converge: residual {res:.3g}")
     return v, res
 
 
@@ -315,7 +316,12 @@ def _best_sweep_k(graph, order):
 # ---------------------------------------------------------------------------
 
 def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
-    """Greedy best single-vertex moves on the Cheeger ratio."""
+    """Greedy best single-vertex moves on the Cheeger ratio.
+
+    Each move flips the first vertex whose flip scores least, while that is
+    strictly below the current ratio, for at most ``LOCAL_SEARCH_PASSES * n``
+    moves; a search that moves nothing returns ``start`` itself.
+    """
     n = graph.n
     mask = _as_mask(n, start.subset)
     A = graph.adjacency
@@ -329,41 +335,30 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
     scale = graph.rescale
     cur = float(cheeger_ratio(cut, size, n, scale))
     moves = 0
-    for _ in range(LOCAL_SEARCH_PASSES):
-        improved = False
-        for _ in range(n):
-            cut_new = np.where(mask, cut - deg + 2 * d_in, cut + deg - 2 * d_in)
-            size_new = np.where(mask, size - 1, size + 1)
-            vals = cheeger_ratio(cut_new, size_new, n, scale)
-            v = int(np.argmin(vals))
-            if not vals[v] < cur:
-                break
-            # apply the move
-            nb = indices[indptr[v]:indptr[v + 1]]
-            if mask[v]:
-                mask[v] = False
-                size -= 1
-                d_in[nb] -= 1
-            else:
-                mask[v] = True
-                size += 1
-                d_in[nb] += 1
-            cut = int(cut_new[v])
-            cur = float(vals[v])
-            moves += 1
-            improved = True
-        if not improved:
+    while moves < LOCAL_SEARCH_PASSES * n:
+        cut_new = np.where(mask, cut - deg + 2 * d_in, cut + deg - 2 * d_in)
+        size_new = np.where(mask, size - 1, size + 1)
+        vals = cheeger_ratio(cut_new, size_new, n, scale)
+        v = int(np.argmin(vals))
+        if not vals[v] < cur:
             break
-    # a search that moved nothing leaves the start (and its name as the
-    # pipeline's winner) in place
+        # apply the move
+        nb = indices[indptr[v]:indptr[v + 1]]
+        if mask[v]:
+            mask[v] = False
+            size -= 1
+            d_in[nb] -= 1
+        else:
+            mask[v] = True
+            size += 1
+            d_in[nb] += 1
+        cut = int(cut_new[v])
+        cur = float(vals[v])
+        moves += 1
     if moves == 0:
         return start
-    out = result_from_subset(graph, mask, solver="local_search",
-                             extras={"moves": moves, "start": start.solver})
-    # the search never worsens the start
-    if out.objective_value > start.objective_value:
-        return start
-    return out
+    return result_from_subset(graph, mask, solver="local_search",
+                              extras={"moves": moves, "start": start.solver})
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +372,18 @@ def solve_pipeline(graph: ProximityGraph) -> CutResult:
     eigen solve runs there. Any other graph starts from the spectral sweep,
     or from the trivial cut [0] when the eigen solve fails (``degraded``).
     """
-    degraded = False
-    eigen_residual = None  # stays None when the solve fails or is not run
     if graph.cloud is not None and isinstance(graph.cloud.manifold, Circle):
         start = solve_arc_sweep(graph)
     else:
         try:
             start = solve_spectral_sweep(graph)
-            eigen_residual = start.extras.get("eigen_residual")
         except EigenNotConverged:
-            degraded = True
             start = result_from_subset(graph, [0], solver="fallback")
     # a search that moves nothing returns its start, whose solver then wins
     cut = refine_local_search(graph, start)
+    # the residual is None where the solve failed or did not run
     return replace(cut, solver="pipeline", certificate="Heuristic",
-                   extras={"degraded": degraded, "winner": cut.solver,
-                           "eigen_residual": eigen_residual, **cut.extras})
+                   extras={"degraded": start.solver == "fallback",
+                           "winner": cut.solver,
+                           "eigen_residual": start.extras.get("eigen_residual"),
+                           **cut.extras})

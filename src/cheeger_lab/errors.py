@@ -14,10 +14,7 @@ class WrongManifold(CheegerLabError):
 
 
 class EigenNotConverged(CheegerLabError):
-    def __init__(self, msg, iterations=None, residual=None):
-        super().__init__(msg)
-        self.iterations = iterations
-        self.residual = residual
+    pass
 
 
 class UnsupportedDimension(CheegerLabError):

@@ -9,7 +9,9 @@ integral is computed with exact cell-pair kernels (hat-interpolation of the
 shift profile), which reproduces indicator values such as the half-arc's
 TV_h = 2 to near machine precision. On the sphere a generic weighted pair
 sum is used; functions invariant under rotation about an axis take a much
-more accurate latitude-band path.
+more accurate latitude-band path. The smoothing Lambda_a divides by the
+kernel's quadrature mass at each point, so its bump needs no normalising
+constant.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class ContinuumFunction:
     evaluator: callable                  # (k, d) ambient -> (k,) values
     bound: float = None                  # known sup-norm bound, if any
     tv_exact: float = None               # closed-form TV, if known
-    grad_norm: callable = None           # (k, d) ambient -> (k,) |grad f|
     zonal_axis: np.ndarray = None        # sphere: f depends on x . axis only
 
     def __call__(self, points):
@@ -73,7 +74,6 @@ def constant_function(c) -> ContinuumFunction:
 class SmoothingKernel:
     """Compactly supported bump profile phi on [0,1) with bandwidth a."""
     a: float
-    m: int = 1
 
     def profile(self, t):
         """Unnormalized bump exp(-1/(1-t^2)) for t < 1, else 0."""
@@ -83,24 +83,6 @@ class SmoothingKernel:
         ts = t[inside]
         out[inside] = np.exp(-1.0 / (1.0 - ts * ts))
         return out
-
-    @property
-    def mass_constant(self):
-        """c with c * int_{R^m} phi(|x|) dx = 1."""
-        return _bump_mass_constant(self.m)
-
-    def normalized(self, t):
-        return self.mass_constant * self.profile(t)
-
-
-@lru_cache(maxsize=None)
-def _bump_mass_constant(m):
-    # imported here: scipy.integrate costs every `import cheeger_lab` ~0.1 s
-    from scipy.integrate import quad
-    surf = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[m]
-    integral, _ = quad(lambda t: np.exp(-1.0 / (1.0 - t * t)) * t ** (m - 1),
-                       0.0, 1.0, limit=200)
-    return 1.0 / (surf * integral)
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +236,14 @@ def _tvh_sphere_zonal(f: ContinuumFunction, h, mf):
 
 def tv_local_smooth(f: ContinuumFunction, grid: QuadratureGrid) -> float:
     """TV(f) = integral of |grad f| by quadrature (smooth f)."""
-    if f.grad_norm is not None:
-        g = np.asarray(f.grad_norm(grid.nodes))
-    else:
-        g = gradient_norm_fd(f, grid)
-    return float(np.dot(grid.weights, g))
+    return float(np.dot(grid.weights, gradient_norm_fd(f, grid)))
 
 
-def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid, step=None):
-    """|grad f| at grid nodes by central differences along the manifold's
-    tangent frame (``frame`` and ``walk``)."""
+def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid):
+    """|grad f| at grid nodes by central differences of step spacing / 8
+    along the manifold's tangent frame (``frame`` and ``walk``)."""
     mf = grid.manifold
-    if step is None:
-        step = grid.spacing / 8.0
+    step = grid.spacing / 8.0
     x = grid.intrinsic
     comps = ((f(mf.walk(x, e, step)) - f(mf.walk(x, e, -step))) / (2.0 * step)
              for e in mf.frame(x))
@@ -365,6 +342,9 @@ def check_bias_inequality(manifold, ref, h_list,
 def check_monotonicity(f: ContinuumFunction, h, a_list, manifold,
                        grid_factor=8) -> CheckReport:
     """TV_a(f) <= C TV_h(f) for h <= a (subadditivity consequence)."""
+    if not len(a_list):
+        # a report with no entries would read as passed
+        raise ValueError("monotonicity check needs at least one scale a")
     if any(a < h for a in a_list):
         raise ValueError("monotonicity check requires h <= every a")
     rep = CheckReport(name="monotonicity")
@@ -395,8 +375,7 @@ def check_smoothing_chain(manifold, ref, h, a,
     f = indicator_function(ref)
     grid = grid_for_scale(manifold, min(h, a), grid_factor)
     tvh = tv_nonlocal(f, h, grid)
-    kern = SmoothingKernel(a=a, m=manifold.m)
-    lam = smooth(f, kern, grid)
+    lam = smooth(f, SmoothingKernel(a=a), grid)
     grad = gradient_norm_fd(lam, grid)
     tv_sm = float(np.dot(grid.weights, grad))
     sup = f.bound  # 1, the bound of an indicator

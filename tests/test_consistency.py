@@ -183,7 +183,7 @@ def test_interpolate_constant_range_monotone():
     cloud = CIRCLE.sample(600, seed=2)
     grid = build_grid(CIRCLE, 400)
     sur = transport_assign(cloud, grid)
-    k = SmoothingKernel(a=0.06, m=1)
+    k = SmoothingKernel(a=0.06)
     const = interpolate(np.full(600, 0.4), sur, k)
     assert np.allclose(const(grid.nodes), 0.4, atol=1e-12)
     rng = np.random.default_rng(0)
@@ -193,7 +193,7 @@ def test_interpolate_constant_range_monotone():
     assert np.all(iu <= iv + 1e-12)
     assert iu.min() >= 0 and iu.max() <= 1 + 1e-12
     with pytest.raises(BandwidthTooSmall):
-        interpolate(u, sur, SmoothingKernel(a=sur.sup_displacement, m=1))
+        interpolate(u, sur, SmoothingKernel(a=sur.sup_displacement))
 
 
 def test_interpolate_indicator_l1_bound():
@@ -203,7 +203,7 @@ def test_interpolate_indicator_l1_bound():
     a = 0.05
     arc = CircleArc(CIRCLE, center=0.25)
     u = arc.indicator(cloud.points)
-    lam = interpolate(u, sur, SmoothingKernel(a=a, m=1))
+    lam = interpolate(u, sur, SmoothingKernel(a=a))
     l1 = grid.integrate(np.abs(lam(grid.nodes) - arc.indicator(grid.nodes)))
     assert l1 <= 2 * a + 2 * sur.sup_displacement
 

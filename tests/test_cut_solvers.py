@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from cheeger_lab import cut_solvers
+from cheeger_lab import cut_solvers, harness
 from cheeger_lab.errors import (EigenNotConverged, SizeLimitExceeded,
                                 WrongManifold)
 from cheeger_lab.manifold import PointCloud, get_manifold
@@ -14,6 +15,7 @@ from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                         cheeger_ratio, cut_and_balance,
                                         objective)
 from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_MAXITER, LOBPCG_TOL,
+                                     LOCAL_SEARCH_PASSES,
                                      _best_sweep_k, _start_block,
                                      canonical_subset, fiedler_vector,
                                      refine_local_search, result_from_subset,
@@ -225,6 +227,60 @@ def test_local_search_never_worsens_and_reaches_exact_on_planted():
     assert ref.objective_value == pytest.approx(ex.objective_value, abs=1e-12)
 
 
+def greedy_oracle(graph, subset):
+    """Local search by brute force: re-score every single-vertex flip with
+    ``objective`` and take the first least one while it beats the current."""
+    n = graph.n
+    mask = np.zeros(n, dtype=bool)
+    mask[subset] = True
+    cur = objective(graph, mask)
+    moves = 0
+    while moves < LOCAL_SEARCH_PASSES * n:
+        vals = []
+        for v in range(n):
+            mask[v] = not mask[v]
+            vals.append(objective(graph, mask))
+            mask[v] = not mask[v]
+        v = int(np.argmin(vals))
+        if not vals[v] < cur:
+            break
+        mask[v] = not mask[v]
+        cur = vals[v]
+        moves += 1
+    return canonical_subset(n, mask), moves, cur
+
+
+@pytest.mark.parametrize("name,eps", [("circle", 0.2), ("flat_torus_2", 0.25),
+                                      ("sphere_2", 0.25)])
+@pytest.mark.parametrize("n", [16, 40])
+def test_local_search_matches_the_brute_force_greedy_oracle(name, eps, n):
+    g = build_graph(get_manifold(name).sample(n, seed=n), eps)
+    rng = np.random.default_rng(n)
+    starts = [result_from_subset(g, [0], "fallback")]
+    starts += [result_from_subset(g, np.flatnonzero(rng.random(n) < p), "random")
+               for p in (0.2, 0.5, 0.8)]
+    solvers = [solve_spectral_sweep, solve_pipeline]
+    if name == "circle":
+        solvers.append(solve_arc_sweep)
+    if n <= 16:
+        solvers.append(solve_exact)
+    starts += [solve(g) for solve in solvers]
+    moved = 0
+    for start in starts:
+        res = refine_local_search(g, start)
+        subset, moves, val = greedy_oracle(g, start.subset)
+        assert np.array_equal(res.subset, subset), start.solver
+        assert res.objective_value == val
+        if res is start:
+            assert moves == 0
+        else:
+            # every accepted move lowers the ratio, so no re-check is needed
+            assert res.objective_value < start.objective_value
+            assert res.extras == {"moves": moves, "start": start.solver}
+            moved += 1
+    assert moved  # the trivial start [0] moves on every graph here
+
+
 def test_canonical_subset_contains_vertex_zero():
     mf = get_manifold("circle")
     cloud = mf.sample(40, seed=2)
@@ -410,3 +466,26 @@ def test_spectral_start_never_beats_the_arc_start_on_the_circle():
         arc = refine_local_search(g, solve_arc_sweep(g))
         spec = refine_local_search(g, solve_spectral_sweep(g))
         assert not spec.objective_value < arc.objective_value, (n, seed)
+
+
+def test_an_eigen_solve_that_stops_early_names_its_residual(monkeypatch, tmp_path):
+    monkeypatch.setattr(cut_solvers, "LOBPCG_MAXITER", 1)
+    n = 2000
+    g = build_graph(get_manifold("flat_torus_2").sample(n, seed=1), 2 * n ** -0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lobpcg warns that it stopped early
+        with pytest.raises(EigenNotConverged) as caught:
+            fiedler_vector(g)
+        res = solve_pipeline(g)
+    residual = float(re.search(r"residual (\S+)$", str(caught.value)).group(1))
+    assert residual > 1e-5 * g.degrees.max()
+    assert res.extras["degraded"] and res.extras["eigen_residual"] is None
+    # a spectral trial's record carries the residual in its error
+    cfg = harness.validate_config({"manifold": "flat_torus_2", "n_list": [n],
+                                   "trials": 1, "seed": 1, "solver": "spectral",
+                                   "out": str(tmp_path)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = harness.run_experiment(cfg, workers=1)["records"][0]
+    assert rec["failed"]
+    assert re.fullmatch(r"EigenNotConverged: .* residual \S+", rec["error"])

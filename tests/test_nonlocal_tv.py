@@ -136,14 +136,6 @@ def test_tv_local_smooth_sin():
     assert tv_local_smooth(f, g) == pytest.approx(4.0, abs=1e-4)
 
 
-def test_tv_local_uses_supplied_gradient():
-    f = ContinuumFunction(
-        evaluator=lambda p: np.sin(2 * np.pi * CIRCLE.to_intrinsic(p)),
-        grad_norm=lambda p: 2 * np.pi * np.abs(np.cos(2 * np.pi * CIRCLE.to_intrinsic(p))))
-    g = build_grid(CIRCLE, 800)
-    assert tv_local_smooth(f, g) == pytest.approx(4.0, abs=1e-4)
-
-
 def test_tv_local_smooth_torus_and_sphere():
     ft = ContinuumFunction(
         evaluator=lambda p: np.sin(2 * np.pi * TORUS.to_intrinsic(p)[..., 0]))
@@ -159,23 +151,9 @@ def test_tv_local_smooth_torus_and_sphere():
     assert tv_local_smooth(fs, gs) == pytest.approx(oracle, rel=1e-2)
 
 
-def test_smoothing_kernel_mass():
-    for m in (1, 2, 3):
-        k = SmoothingKernel(a=0.1, m=m)
-        # Monte Carlo mass of the normalized kernel over the unit ball
-        rng = np.random.default_rng(m)
-        vol = {1: 2.0, 2: np.pi, 3: 4 * np.pi / 3}[m]
-        x = rng.uniform(-1, 1, size=(400_000, m))
-        inside = (x * x).sum(1) <= 1
-        vals = k.normalized(np.linalg.norm(x[inside], axis=1))
-        est = vals.mean() * vol
-        se = vals.std(ddof=1) / np.sqrt(inside.sum()) * vol
-        assert abs(est - 1.0) < 3 * se + 1e-3
-
-
 def test_smooth_preserves_constants_and_range():
     g = build_grid(CIRCLE, 400)
-    k = SmoothingKernel(a=0.05, m=1)
+    k = SmoothingKernel(a=0.05)
     out = smooth(constant_function(0.37), k, g)
     assert np.allclose(out(g.nodes), 0.37, atol=1e-13)
     arc = CircleArc(CIRCLE, center=0.25)
@@ -196,7 +174,7 @@ def test_smooth_l1_distance_bound():
     a = 0.05
     arc = CircleArc(CIRCLE, center=0.25)
     f = indicator_function(arc)
-    lam = smooth(f, SmoothingKernel(a=a, m=1), g)
+    lam = smooth(f, SmoothingKernel(a=a), g)
     l1 = g.integrate(np.abs(lam(g.nodes) - f(g.nodes)))
     assert l1 <= 2 * a
 
@@ -204,7 +182,7 @@ def test_smooth_l1_distance_bound():
 def test_smooth_resolution_guard():
     g = build_grid(CIRCLE, 40)
     with pytest.raises(ResolutionTooCoarse):
-        smooth(constant_function(1.0), SmoothingKernel(a=0.05, m=1), g)
+        smooth(constant_function(1.0), SmoothingKernel(a=0.05), g)
 
 
 def test_bias_inequality_reports():
@@ -231,6 +209,14 @@ def test_monotonicity_check_and_degenerate():
     assert rep.entries[0].get("degenerate")
     with pytest.raises(ValueError):
         check_monotonicity(f, 0.1, [0.05], CIRCLE)
+
+
+def test_monotonicity_refuses_an_empty_scale_list():
+    # with no scale a the report would hold no entry and read as passed
+    f = indicator_function(CircleArc(CIRCLE, center=0.25))
+    for func in (f, constant_function(0.5)):
+        with pytest.raises(ValueError, match="at least one scale"):
+            check_monotonicity(func, 0.02, [], CIRCLE)
 
 
 def test_smoothing_chain_circle():
@@ -261,7 +247,7 @@ def test_gradient_bound_of_smoothed_indicator():
     g = build_grid(CIRCLE, 800)
     a = 0.05
     lam = smooth(indicator_function(CircleArc(CIRCLE, center=0.25)),
-                 SmoothingKernel(a=a, m=1), g)
+                 SmoothingKernel(a=a), g)
     assert gradient_norm_fd(lam, g).max() <= 10.0 / a
 
 
@@ -377,7 +363,7 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     f = indicator_function(mf.default_minimizer())
     a = 0.1
     g = grid_for_scale(mf, a, 4)
-    kern = SmoothingKernel(a=a, m=mf.m)
+    kern = SmoothingKernel(a=a)
     pts = np.concatenate([mf.sample(1001, seed=3).points, g.nodes])
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1e15)
     whole = smooth(f, kern, g)(pts)
@@ -419,7 +405,7 @@ def test_smooth_matches_a_dense_geodesic_sum(name):
     mf = get_manifold(name)
     a = 0.1
     g = grid_for_scale(mf, a, 4)
-    kern = SmoothingKernel(a=a, m=mf.m)
+    kern = SmoothingKernel(a=a)
     f = ContinuumFunction(evaluator=lambda p: 2.0 + np.cos(20.0 * p[:, 0]) * p[:, 1])
     pts = _oracle_points(mf, g)
     y = mf.to_intrinsic(g.nodes)[None, ...]
@@ -436,7 +422,7 @@ def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
     # a = 0.01; the stated spacing is a lie, so only the evaluator can tell
     g = dataclasses.replace(build_grid(CIRCLE, 40), spacing=0.0)
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1.0)
-    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.01, m=1), g)
+    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.01), g)
     pts = np.concatenate([g.nodes[:7], CIRCLE.to_ambient(np.array([0.05]))])
     with pytest.raises(ResolutionTooCoarse, match="empty kernel support"):
         lam(pts)
@@ -451,15 +437,15 @@ def test_smoothing_chain_takes_one_gradient(monkeypatch, name, h, a):
     ref = mf.default_minimizer()
     calls = []
 
-    def counting_gradient(f, grid, step=None):
+    def counting_gradient(f, grid):
         calls.append(grid)
-        return gradient_norm_fd(f, grid, step=step)
+        return gradient_norm_fd(f, grid)
 
     monkeypatch.setattr(nonlocal_tv, "gradient_norm_fd", counting_gradient)
     rep = check_smoothing_chain(mf, ref, h, a, grid_factor=4)
     assert len(calls) == 1
     g = grid_for_scale(mf, h, 4)
-    lam = smooth(indicator_function(ref), SmoothingKernel(a=a, m=mf.m), g)
+    lam = smooth(indicator_function(ref), SmoothingKernel(a=a), g)
     grad = gradient_norm_fd(lam, g)
     assert rep.entries[0]["sigma_tv_smooth"] == surface_tension(mf.m) * float(
         np.dot(g.weights, grad))
