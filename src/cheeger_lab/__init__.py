@@ -14,7 +14,7 @@ from .nonlocal_tv import (ContinuumFunction, SmoothingKernel,
                           indicator_function, smooth, surface_tension,
                           tv_local_smooth, tv_nonlocal)
 from .consistency import (RateReport, TransportSurrogate, cut_l1_error,
-                          fit_rate, fix_mass, fraenkel_asymmetry, interpolate,
+                          fit_rate, fix_mass, interpolate, match_minimizer,
                           transport_assign, ustat_concentration)
 from .harness import (ExperimentConfig, emit_plot_data, run_experiment,
                       validate_config)

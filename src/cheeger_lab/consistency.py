@@ -1,12 +1,14 @@
 """Discrete-to-continuum bridges.
 
 * nearest-sample transport surrogate (exact geodesic nearest, reported
-  sup-displacement = covering radius over the evaluation nodes);
+  sup-displacement = covering radius over the evaluation nodes); a vertex
+  function u pulls back to the nodes as ``u[assignment]``;
 * the exact infinity-transport distance of a circle cloud to the volume
   measure;
 * interpolation of vertex functions to the manifold (kernel-smoothed
   pullback along the transport);
-* Fraenkel asymmetry against the closed-form minimizer families;
+* Fraenkel asymmetry against the closed-form minimizer families: the
+  asymmetry and the nearest member's parameter, from ``match_minimizer``;
 * mass fixing by attaching or removing a geodesic ball;
 * U-statistic concentration experiments for the graph TV of a fixed function;
 * L1 error of a discrete cut against the minimizer family;
@@ -52,15 +54,9 @@ def schedule_exponents(m):
 @dataclass
 class TransportSurrogate:
     cloud: PointCloud
-    nodes: np.ndarray            # (N, d) ambient evaluation points
     assignment: np.ndarray       # (N,) index of the nearest sample point
     sup_displacement: float      # covering radius over the nodes
     grid: QuadratureGrid = None  # retained when nodes came from a grid
-
-    def pullback(self, u):
-        """Vertex function composed with the transport, on the nodes."""
-        u = np.asarray(u)
-        return u[self.assignment]
 
 
 _TIE = 1e-12  # geodesic distances this close to the nearest one are ties
@@ -88,7 +84,7 @@ def transport_assign(cloud: PointCloud, nodes) -> TransportSurrogate:
         g = mf.geodesic_distance(pts[r][None, :], samples[cand])
         assignment[r] = cand[g <= g.min() + _TIE].min()
     sup = float(mf.geodesic_distance(pts, samples[assignment]).max())
-    return TransportSurrogate(cloud=cloud, nodes=pts, assignment=assignment,
+    return TransportSurrogate(cloud=cloud, assignment=assignment,
                               sup_displacement=sup, grid=grid)
 
 
@@ -125,7 +121,7 @@ def interpolate(u, surrogate: TransportSurrogate,
     if surrogate.grid is None:
         raise ValueError("interpolation requires a quadrature-grid surrogate")
     u = np.asarray(u, dtype=float)
-    cloud, mf = surrogate.cloud, surrogate.cloud.manifold
+    cloud = surrogate.cloud
 
     def pullback_eval(points):
         sub = transport_assign(cloud, np.atleast_2d(points))
@@ -144,10 +140,6 @@ def match_minimizer(f: ContinuumFunction, grid: QuadratureGrid):
     """(alpha, best parameter of the grid manifold's minimizer family)
     minimizing the symmetric difference."""
     return _match_node_values(f(grid.nodes), grid)
-
-
-def fraenkel_asymmetry(f: ContinuumFunction, grid: QuadratureGrid) -> float:
-    return match_minimizer(f, grid)[0]
 
 
 def _match_node_values(fvals, grid: QuadratureGrid):
@@ -187,11 +179,11 @@ def fix_mass(indicator, volume, target_mass, grid: QuadratureGrid) -> AdjustedSe
     """
     if not 0.0 < target_mass < 1.0:
         raise InfeasibleMass(f"target mass {target_mass} outside (0, 1)")
-    ind = indicator.evaluator if isinstance(indicator, ContinuumFunction) else indicator
     manifold = grid.manifold
     dv = target_mass - volume
     if abs(dv) < 1e-12:
-        f = ContinuumFunction(evaluator=lambda p: np.asarray(ind(p), float), bound=1.0)
+        f = ContinuumFunction(evaluator=lambda p: np.asarray(indicator(p), float),
+                              bound=1.0)
         return AdjustedSet(indicator=f, volume=volume, symmetric_difference=0.0,
                            perimeter_increment=0.0, radius=0.0)
     try:
@@ -199,12 +191,12 @@ def fix_mass(indicator, volume, target_mass, grid: QuadratureGrid) -> AdjustedSe
     except ValueError as exc:  # no geodesic ball has that volume
         raise InfeasibleMass(f"correction {abs(dv):.6g}: {exc}") from exc
     adding = dv > 0
-    center = _ball_site(ind, grid, r, exterior=adding)
+    center = _ball_site(indicator, grid, r, exterior=adding)
     if center is None:
         raise InfeasibleMass("no room for the correction ball")
 
     def evaluator(points):
-        base = np.asarray(ind(points), dtype=float)
+        base = np.asarray(indicator(points), dtype=float)
         inball = (manifold.geodesic_distance(points, center[None, :]) <= r)
         return np.where(inball, 1.0 if adding else 0.0, base)
 
@@ -296,6 +288,8 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
         raise ValueError("requires a function with known total variation")
     if trials < 2:
         raise InsufficientData(f"the std of the GTV needs at least 2 trials, got {trials}")
+    if not len(n_list):
+        raise InsufficientData("need at least one sample size n")
     small = [n for n in n_list if n < 2]
     if small:
         raise InsufficientData(f"a graph needs at least 2 points, got n={small[0]}")
@@ -338,7 +332,7 @@ def cut_l1_error(cut, cloud: PointCloud, grid: QuadratureGrid) -> CutError:
     u[np.asarray(cut.subset, dtype=int)] = 1.0
     sur = transport_assign(cloud, grid)
     # match directly on the node values; the family covers complements
-    alpha, param = _match_node_values(sur.pullback(u), grid)
+    alpha, param = _match_node_values(u[sur.assignment], grid)
     disc = float(np.mean(u != grid.manifold.minimizer(param).indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
     return CutError(l1_error=float(alpha), matched_param=param,

@@ -16,8 +16,9 @@ and its complement score the same float, and returns it through
 ``result_from_subset``, which takes the certificate from ``CERTIFICATES``.
 Subsets are stored canonically as the side containing vertex 0, sorted.
 ``solve_exact`` breaks ties between subsets of equal float value toward the
-lexicographically smallest canonical subset; the arc sweep toward the
-shortest arc, then the first start in angular order.
+lexicographically smallest canonical subset, found by peeling the tied
+ids' lowest set bits; the arc sweep toward the shortest arc, then the first
+start in angular order.
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ def solve_exact(graph: ProximityGraph) -> CutResult:
     scale = graph.rescale
     # ids enumerate subsets of {1..n-1}; vertex 0 is always inside
     total = 1 << (n - 1)
-    best_val = np.inf
-    best_ids = None
+    best_val, best_ids = np.inf, []
     chunk = 1 << 20
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
@@ -103,42 +103,28 @@ def solve_exact(graph: ProximityGraph) -> CutResult:
         vals = cheeger_ratio(cut, size, n, scale)
         cmin = vals.min()
         if cmin < best_val:
-            best_val = cmin
-            best_ids = ids[vals == cmin]
-        elif cmin == best_val and best_ids is not None:
-            best_ids = np.concatenate([best_ids, ids[vals == cmin]])
-    best_id = _lex_min_id(best_ids, n)
-    subset = _id_to_subset(best_id, n)
-    return result_from_subset(graph, subset, solver="exact")
+            best_val, best_ids = cmin, []
+        if cmin == best_val:
+            best_ids.append(ids[vals == cmin])
+    mask = (_lex_min_id(np.concatenate(best_ids)) << 1) | 1
+    return result_from_subset(graph, np.flatnonzero((mask >> np.arange(n)) & 1),
+                              solver="exact")
 
 
-def _id_to_subset(idx, n):
-    members = [0] + [v for v in range(1, n) if (int(idx) >> (v - 1)) & 1]
-    return np.array(members, dtype=int)
+def _lex_min_id(ids):
+    """Id whose subset (bit v - 1 is vertex v; vertex 0 is always in) is
+    lexicographically smallest as a sorted tuple.
 
-
-def _lex_min_id(ids, n):
-    """Id whose subset (containing vertex 0) is lexicographically smallest.
-
-    Tuple order: a subset that stops is smaller than one that continues
-    with any larger vertex, and containing vertex v beats containing w > v.
+    The least next member wins, so keep the ids whose lowest set bit is
+    least and clear that bit. An id whose bits run out first is a prefix of
+    the others, and a prefix is the smaller tuple.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    cand = ids
-    for v in range(1, n):
-        if len(cand) == 1:
-            break
-        has = ((cand >> (v - 1)) & 1).astype(bool)
-        if has.all():
-            continue
-        # candidates without v: do any of them end here (no members >= v)?
-        rest = cand[~has] >> (v - 1)
-        ends = rest == 0
-        if ends.any():
-            return int(cand[~has][np.flatnonzero(ends)[0]])
-        if has.any():
-            cand = cand[has]
-    return int(cand[0])
+    cand = rest = np.asarray(ids, dtype=np.int64)
+    while len(cand) > 1 and rest.all():
+        low = rest & -rest
+        keep = low == low.min()
+        cand, rest = cand[keep], rest[keep] ^ low[keep]
+    return int(cand[np.argmin(rest)])
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,12 @@ def is_int(v):
 class Manifold:
     """Base interface; concrete kinds below.
 
+    Each kind provides ``_sample(rng, n)``, the ambient points of n uniform
+    samples; ``to_intrinsic(points)`` and ``to_ambient(intrinsic)``;
+    ``intrinsic_distance(a, b)``, the geodesic distance of points given in
+    intrinsic coordinates; ``on_manifold_residual(points)``, each point's
+    distance from the manifold; and the geodesic balls' ``ball_volume(r)``,
+    ``ball_perimeter(r)`` and ``ball_radius_for_volume(vol)``.
     Each kind also holds its continuum Cheeger facts: ``cheeger_constant``
     C_M, the half-volume minimizer family ``minimizer(param)`` with a
     ``default_minimizer()``, and the isoperimetric profile
@@ -134,32 +140,6 @@ class Manifold:
 
     def geodesic_distance(self, x, y):
         return self.intrinsic_distance(self.to_intrinsic(x), self.to_intrinsic(y))
-
-    # -- to be provided by subclasses -------------------------------------
-    def _sample(self, rng, n):
-        raise NotImplementedError
-
-    def intrinsic_distance(self, a, b):
-        """Geodesic distance between points given in intrinsic coordinates."""
-        raise NotImplementedError
-
-    def to_intrinsic(self, points):
-        raise NotImplementedError
-
-    def to_ambient(self, intrinsic):
-        raise NotImplementedError
-
-    def on_manifold_residual(self, points):
-        raise NotImplementedError
-
-    def ball_volume(self, r):
-        raise NotImplementedError
-
-    def ball_perimeter(self, r):
-        raise NotImplementedError
-
-    def ball_radius_for_volume(self, vol):
-        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} m={self.m} d={self.d}>"
@@ -444,58 +424,50 @@ def get_manifold(name) -> Manifold:
 # ---------------------------------------------------------------------------
 
 class ReferenceSet:
-    """A measurable set with closed-form volume and perimeter."""
+    """A half-volume minimizer with closed-form perimeter; each kind provides
+    ``indicator(points)``, 1.0 on the set and 0.0 off it."""
 
     manifold: Manifold
-    volume: float
+    volume = 0.5
     perimeter: float
     zonal_axis = None  # an axis the set is invariant under rotation about
 
-    def indicator(self, points):
-        raise NotImplementedError
-
 
 class CircleArc(ReferenceSet):
-    def __init__(self, manifold, center, length=0.5):
-        assert 0.0 < length < 1.0
+    perimeter = 2.0
+
+    def __init__(self, manifold, center):
         self.manifold = manifold
         self.center = float(_wrap(center))
-        self.length = float(length)
-        self.volume = self.length
-        self.perimeter = 2.0
 
     def indicator(self, points):
         t = self.manifold.to_intrinsic(points)
-        return (_wrap_dist(t, self.center) <= self.length / 2.0).astype(float)
+        return (_wrap_dist(t, self.center) <= 0.25).astype(float)
 
 
 class TorusStrip(ReferenceSet):
-    def __init__(self, manifold, axis, offset, width=0.5):
-        assert axis in (0, 1) and 0.0 < width < 1.0
+    perimeter = 2.0
+
+    def __init__(self, manifold, axis, offset):
+        assert axis in (0, 1)
         self.manifold = manifold
         self.axis = int(axis)
         self.offset = float(_wrap(offset))
-        self.width = float(width)
-        self.volume = self.width
-        self.perimeter = 2.0
 
     def indicator(self, points):
         uv = self.manifold.to_intrinsic(points)
-        return (_wrap(uv[..., self.axis] - self.offset) < self.width).astype(float)
+        return (_wrap(uv[..., self.axis] - self.offset) < 0.5).astype(float)
 
 
 class SphereCap(ReferenceSet):
-    def __init__(self, manifold, pole, volume=0.5):
-        assert 0.0 < volume < 1.0
+    # the boundary great circle 2 pi R of the unit-area sphere, R = 1/sqrt(4 pi)
+    perimeter = np.sqrt(np.pi)
+
+    def __init__(self, manifold, pole):
         self.manifold = manifold
         pole = np.asarray(pole, dtype=float)
         self.pole = self.zonal_axis = pole / np.linalg.norm(pole)
-        self.volume = float(volume)
-        # cap of volume fraction v on the unit-area sphere
-        self.cos_threshold = 1.0 - 2.0 * self.volume
-        # boundary circle: 2*pi*r*sin(theta) with sin(theta) = 2 sqrt(v(1-v))
-        self.perimeter = 2.0 * np.sqrt(np.pi * volume * (1.0 - volume))
 
     def indicator(self, points):
         u = self.manifold.to_intrinsic(points)
-        return (u @ self.pole >= self.cos_threshold).astype(float)
+        return (u @ self.pole >= 0.0).astype(float)

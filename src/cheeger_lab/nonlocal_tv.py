@@ -394,18 +394,20 @@ def check_smoothing_chain(manifold, ref, h, a,
 
 
 def cheeger_functional_form(f: ContinuumFunction, grid: QuadratureGrid) -> float:
-    """TV(f) / ||f - median(f)||_L1, the functional Cheeger representation."""
+    """TV(f) / ||f - median(f)||_L1, the functional Cheeger representation.
+
+    The median is the weighted median of the grid's node values, where the
+    quadrature L1 distance to a constant is least.
+    """
     vals = f(grid.nodes)
     if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
         raise ValueError("functional form requires f in [0, 1]")
     if vals.max() - vals.min() < 1e-12:
         raise DegenerateFunction("function is essentially constant")
-    # imported here: scipy.optimize costs every `import cheeger_lab` ~0.1 s
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda c: float(np.dot(grid.weights, np.abs(vals - c))),
-                          bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-10})
-    denom = float(res.fun)
+    order = np.argsort(vals, kind="stable")
+    cw = np.cumsum(grid.weights[order])
+    med = vals[order[np.searchsorted(cw, 0.5 * cw[-1])]]
+    denom = float(np.dot(grid.weights, np.abs(vals - med)))
     if denom < 1e-12:
         raise DegenerateFunction("function is essentially constant")
     if f.tv_exact is not None:

@@ -4,8 +4,8 @@ from scipy.spatial import cKDTree
 
 from cheeger_lab.consistency import (TransportSurrogate,
                                      circle_transport_delta, cut_l1_error,
-                                     fit_rate, fix_mass, fraenkel_asymmetry,
-                                     interpolate, match_minimizer,
+                                     fit_rate, fix_mass, interpolate,
+                                     match_minimizer,
                                      perturbed_strip_excess,
                                      schedule_exponents, stability_exponent,
                                      transport_assign, ustat_concentration)
@@ -211,14 +211,14 @@ def test_interpolate_indicator_l1_bound():
 def test_fraenkel_family_member_is_zero():
     grid = build_grid(CIRCLE, 800)
     f = indicator_function(CircleArc(CIRCLE, center=0.37))
-    assert fraenkel_asymmetry(f, grid) <= 2 * grid.spacing
+    assert match_minimizer(f, grid)[0] <= 2 * grid.spacing
 
 
 def test_fraenkel_two_arcs_is_half():
     grid = build_grid(CIRCLE, 800)
     f = ContinuumFunction(
         evaluator=lambda p: ((CIRCLE.to_intrinsic(p) % 0.5) < 0.25).astype(float))
-    assert fraenkel_asymmetry(f, grid) == pytest.approx(0.5, abs=1e-2)
+    assert match_minimizer(f, grid)[0] == pytest.approx(0.5, abs=1e-2)
 
 
 @pytest.mark.parametrize("name,N", [("circle", 40), ("circle", 41),
@@ -241,7 +241,6 @@ def test_fraenkel_min_property(name, N):
                   rng.uniform(-0.5, 1.5, grid.size)):
         f = ContinuumFunction(evaluator=lambda p, v=fvals: v)  # read on grid.nodes only
         alpha, param = match_minimizer(f, grid)
-        assert fraenkel_asymmetry(f, grid) == alpha
         assert alpha == pytest.approx(min(explicit(fvals, p) for p in params), abs=1e-12)
         assert alpha == pytest.approx(explicit(fvals, param), abs=1e-12)
 
@@ -315,10 +314,12 @@ def test_fix_mass_radius_is_closed_form(mf, resolution, member, target):
 
 def test_fix_mass_torus_disk_above_quarter_pi_is_infeasible():
     # a geodesic disk of the unit torus has radius <= 1/2, so area <= pi/4
-    strip = TorusStrip(TORUS, axis=0, offset=0.0, width=0.1)
+    def strip(points):  # the strip of width 0.1 along axis 0
+        return (TORUS.to_intrinsic(points)[..., 0] < 0.1).astype(float)
+
     grid = build_grid(TORUS, 64)
     with pytest.raises(InfeasibleMass, match="too large for flat torus"):
-        fix_mass(strip.indicator, 0.1, 0.1 + np.pi / 4 + 1e-3, grid)
+        fix_mass(strip, 0.1, 0.1 + np.pi / 4 + 1e-3, grid)
 
 
 def test_ustat_constant_function_is_zero():
@@ -339,6 +340,13 @@ def test_ustat_requires_two_trials(trials):
     f = indicator_function(CIRCLE.default_minimizer())
     with pytest.raises(InsufficientData, match="at least 2 trials"):
         ustat_concentration(CIRCLE, f, [50], 0.1, trials=trials, seed=0)
+
+
+def test_ustat_refuses_an_empty_n_list():
+    # a report with no entries would read as a concentration result
+    f = indicator_function(CIRCLE.default_minimizer())
+    with pytest.raises(InsufficientData, match="at least one sample size"):
+        ustat_concentration(CIRCLE, f, [], 0.1, trials=3, seed=0)
 
 
 def test_cut_l1_error_on_planted_instance():

@@ -16,7 +16,7 @@ from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
                                         objective)
 from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_MAXITER, LOBPCG_TOL,
                                      LOCAL_SEARCH_PASSES,
-                                     _best_sweep_k, _start_block,
+                                     _best_sweep_k, _lex_min_id, _start_block,
                                      canonical_subset, fiedler_vector,
                                      refine_local_search, result_from_subset,
                                      solve_arc_sweep, solve_exact,
@@ -191,6 +191,49 @@ def test_exact_rational_tie_goes_to_smaller_side():
     res = solve_exact(g)
     assert res.subset.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
     assert res.objective_value == objective(g, [0, 1, 4, 7, 8, 9])
+
+
+def _members(idx, n):
+    """The subset of id ``idx`` without vertex 0, as a sorted tuple."""
+    return tuple(v for v in range(1, n) if (idx >> (v - 1)) & 1)
+
+
+def test_lex_min_id_matches_brute_force_tuple_order():
+    rng = np.random.default_rng(19)
+    for trial in range(3000):
+        n = int(rng.integers(2, 13))
+        total = 1 << (n - 1)
+        ids = set(rng.integers(0, total, size=int(rng.integers(1, 20))).tolist())
+        if trial % 3 == 0:
+            # a prefix chain: each id the one before with one higher bit added
+            chain, top = 0, int(rng.integers(0, n))
+            for v in sorted(rng.permutation(range(1, n))[:top].tolist()):
+                chain |= 1 << (v - 1)
+                ids.add(chain)
+        ids = sorted(ids, key=lambda i: rng.random())
+        want = min(ids, key=lambda i: _members(i, n))
+        assert _lex_min_id(np.array(ids, dtype=np.int64)) == want
+
+
+def _cycle_graph(n):
+    """The n-cycle: equally spaced circle points joined to their neighbours."""
+    t = np.arange(n) / n
+    pts = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=1)
+    step = 2 * np.sin(np.pi / n)  # the chord to a neighbour
+    return build_graph(pts, 1.5 * step, m=1)
+
+
+@pytest.mark.parametrize("graph,subset", [
+    # every proper cut of an edgeless graph scores 0: the shortest side wins
+    pytest.param(build_graph(np.arange(12.0)[:, None], 0.5, m=1), [0], id="edgeless-12"),
+    pytest.param(build_graph(np.arange(20.0)[:, None], 0.5, m=1), [0], id="edgeless-20"),
+    # the ratio follows max(|A|, n - |A|): every 5-subset with vertex 0 ties
+    pytest.param(build_graph(np.arange(10.0)[:, None] * 0.01, 1.0, m=1),
+                 [0, 1, 2, 3, 4], id="complete-10"),
+    # every half arc cuts 2 edges; the arc starting at vertex 0 wins
+    pytest.param(_cycle_graph(12), [0, 1, 2, 3, 4, 5], id="cycle-12")])
+def test_exact_tie_heavy_graphs(graph, subset):
+    assert solve_exact(graph).subset.tolist() == subset
 
 
 def test_spectral_recovers_planted_clusters():

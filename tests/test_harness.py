@@ -371,7 +371,7 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_import_leaves_integrate_and_optimize_unloaded():
-    # both are imported by the one function that needs each, not at startup
+    # no module imports either; a lazy import must stay out of startup too
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import cheeger_lab; "
             "print([m for m in ('scipy.integrate', 'scipy.optimize') "
@@ -440,6 +440,30 @@ def test_cli_ustat_refuses_fewer_than_two_points(tmp_path, capsys, n):
                      "--n", n, "--trials", "3"]) == 3
     assert "at least 2 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_ustat_refuses_an_empty_n_list(tmp_path, capsys):
+    out = tmp_path / "ustat.json"
+    assert cli.main(["--out", str(out), "ustat", "--manifold", "circle",
+                     "--n", ",", "--trials", "3"]) == 3
+    assert "at least one sample size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_cli_lines_parse():
+    # every `cheeger-lab` line of the README's CLI block, continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "cheeger-lab"
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the README line does not parse: {line}")
 
 
 @pytest.mark.parametrize("h", ["0", "-0.1", "0.05,0"])

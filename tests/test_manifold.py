@@ -196,7 +196,7 @@ def test_pointcloud_load_keeps_points_within_the_tolerance(tmp_path, name):
 def test_reference_set_volumes_by_quadrature():
     from cheeger_lab.quadrature import build_grid
     c = get_manifold("circle")
-    arc = CircleArc(c, center=0.3, length=0.5)
+    arc = CircleArc(c, center=0.3)
     g = build_grid(c, 2000)
     assert abs(g.integrate(arc.indicator(g.nodes)) - 0.5) < 1e-3
     t = get_manifold("flat_torus_2")
@@ -204,17 +204,41 @@ def test_reference_set_volumes_by_quadrature():
     gt = build_grid(t, 100)
     assert abs(gt.integrate(strip.indicator(gt.nodes)) - 0.5) < 1e-2
     s = get_manifold("sphere_2")
-    cap = SphereCap(s, pole=[0, 1, 1], volume=0.3)
+    cap = SphereCap(s, pole=[0, 1, 1])
     gs = build_grid(s, 5000)
-    assert abs(gs.integrate(cap.indicator(gs.nodes)) - 0.3) < 1e-2
+    assert abs(gs.integrate(cap.indicator(gs.nodes)) - 0.5) < 1e-2
+    assert arc.volume == strip.volume == cap.volume == 0.5
 
 
 def test_sphere_cap_perimeter_closed_form():
     s = get_manifold("sphere_2")
     # hemisphere boundary is a great circle of length 2 pi r
-    cap = SphereCap(s, pole=[0, 0, 1], volume=0.5)
+    cap = SphereCap(s, pole=[0, 0, 1])
     assert np.isclose(cap.perimeter, 2 * np.pi * s.radius)
-    assert np.isclose(cap.perimeter, np.sqrt(np.pi))
+    # the closed form 2 sqrt(pi v (1 - v)) at v = 1/2, to the last bit
+    assert cap.perimeter == 2.0 * np.sqrt(np.pi * 0.5 * (1.0 - 0.5))
+
+
+def _named_methods(cls):
+    """The methods ``name(...)`` that a class docstring asks for."""
+    return set(re.findall(r"``(\w+)\(", cls.__doc__))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_manifold_defines_every_method_its_interface_names(name):
+    mf = get_manifold(name)
+    required = _named_methods(manifold.Manifold)
+    assert {"_sample", "intrinsic_distance", "to_intrinsic", "to_ambient",
+            "on_manifold_residual", "ball_volume", "ball_perimeter",
+            "ball_radius_for_volume", "tree_coords", "frame", "walk",
+            "match_family", "minimizer"} <= required
+    for method in required:
+        assert callable(getattr(mf, method, None)), (name, method)
+    ref = mf.default_minimizer()
+    assert isinstance(ref, manifold.ReferenceSet)
+    assert "indicator" in _named_methods(manifold.ReferenceSet)
+    for method in _named_methods(manifold.ReferenceSet):
+        assert callable(getattr(ref, method, None)), (name, method)
 
 
 def test_continuum_cheeger_constants():

@@ -7,7 +7,8 @@ from scipy.spatial import cKDTree
 from cheeger_lab import nonlocal_tv
 from cheeger_lab.errors import (DegenerateFunction, ResolutionTooCoarse,
                                 UnsupportedDimension)
-from cheeger_lab.manifold import CircleArc, SphereCap, TorusStrip, get_manifold
+from cheeger_lab.manifold import (CircleArc, SphereCap, TorusStrip, _wrap_dist,
+                                  get_manifold)
 from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction,
                                      SmoothingKernel, cheeger_functional_form,
                                      check_bias_inequality, check_monotonicity,
@@ -57,16 +58,18 @@ def test_circle_half_arc_tvh_exact():
 
 def test_circle_tvh_matches_monte_carlo():
     # independent oracle: TV_h = h^{-2} E|f(x)-f(y)| 1_{d<=h} over uniform pairs
-    arc = CircleArc(CIRCLE, center=0.1, length=0.3)
-    f = indicator_function(arc)
+    def arc(points):  # the arc of length 0.3 centred at t = 0.1
+        return (_wrap_dist(CIRCLE.to_intrinsic(points), 0.1) <= 0.15).astype(float)
+
+    f = ContinuumFunction(evaluator=arc)
     h = 0.08
     rng = np.random.default_rng(1)
     n = 400_000
     x, y = rng.random(n), rng.random(n)
     d = np.abs(np.mod(x - y, 1.0))
     d = np.minimum(d, 1 - d)
-    fx = arc.indicator(CIRCLE.to_ambient(x))
-    fy = arc.indicator(CIRCLE.to_ambient(y))
+    fx = arc(CIRCLE.to_ambient(x))
+    fy = arc(CIRCLE.to_ambient(y))
     vals = np.abs(fx - fy) * (d <= h) / h ** 2
     mc, se = vals.mean(), vals.std(ddof=1) / np.sqrt(n)
     g = grid_for_scale(CIRCLE, h, 8)
@@ -241,6 +244,39 @@ def test_cheeger_functional_form():
         cheeger_functional_form(constant_function(0.3), g)
     with pytest.raises(ValueError, match="requires f in"):
         cheeger_functional_form(constant_function(2.0), g)
+
+
+def test_functional_form_denominator_is_the_least_l1_distance():
+    # with TV = 1 the form is 1 / denominator; the denominator is the L1
+    # distance to the weighted median, never above that to any node value
+    def t(p):
+        return CIRCLE.to_intrinsic(p)
+
+    def uv(p):
+        return TORUS.to_intrinsic(p)
+
+    def z(p):
+        return SPHERE.to_intrinsic(p)[..., 2]
+
+    gc, gt, gs = build_grid(CIRCLE, 400), build_grid(TORUS, 40), build_grid(SPHERE, 1500)
+    cases = [
+        (gc, CircleArc(CIRCLE, center=0.37).indicator),
+        (gc, lambda p: 0.5 * (1 + np.sin(2 * np.pi * t(p)))),
+        (gc, lambda p: t(p) ** 3),
+        (gt, TorusStrip(TORUS, axis=1, offset=0.3).indicator),
+        (gt, lambda p: uv(p)[..., 0] * uv(p)[..., 1]),
+        (gt, lambda p: 0.25 * (2 + np.sin(2 * np.pi * uv(p)[..., 0])
+                               + np.cos(2 * np.pi * uv(p)[..., 1]))),
+        (gs, SphereCap(SPHERE, pole=[1.0, 2.0, -0.5]).indicator),
+        (gs, lambda p: 0.5 * (1 + z(p))),
+        (gs, lambda p: z(p) ** 2)]
+    for grid, ev in cases:
+        f = ContinuumFunction(evaluator=ev, tv_exact=1.0)
+        denom = 1.0 / cheeger_functional_form(f, grid)
+        vals = f(grid.nodes)
+        least = min(grid.integrate(np.abs(vals - c)) for c in np.unique(vals))
+        # 1 / (1 / d) may round d by an ulp either way
+        assert least * (1 - 1e-12) <= denom <= least * (1 + 1e-12)
 
 
 def test_gradient_bound_of_smoothed_indicator():
