@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BandwidthTooSmall, InfeasibleMass, InsufficientData
+from .errors import (BandwidthTooSmall, ConfigError, InfeasibleMass,
+                     InsufficientData)
 from .manifold import Circle, PointCloud, _wrap
 from .nonlocal_tv import (CHECK_C, ContinuumFunction, SmoothingKernel, smooth,
                           surface_tension)
@@ -293,6 +294,11 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
     small = [n for n in n_list if n < 2]
     if small:
         raise InsufficientData(f"a graph needs at least 2 points, got n={small[0]}")
+    # a repeated n would be sampled twice and reported as two entries
+    values, counts = np.unique(n_list, return_counts=True)
+    repeated = values[counts > 1].tolist()
+    if repeated:
+        raise ConfigError(f"n_list repeats n: {repeated}")
     sigma = surface_tension(manifold.m)
     tv = f.tv_exact
     rep = UStatReport(manifold=manifold.name, tv=tv)
@@ -387,14 +393,16 @@ def fit_rate(records, m=1, seed=0) -> RateReport:
         raise InsufficientData(f"need at least {MIN_TRIALS} trials per n")
     meds = [float(np.median(records[n])) for n in ns]
     slope = loglog_fit(ns, meds)[0]
-    # resample indices in the (draw, n) order of rng.choice, then take every
-    # bootstrap median and slope at once
+    # every resample index in one call, in (draw, n, k) order: row b holds
+    # draw b's indices for each n in turn, each below that n's trial count.
+    # Bounded draws do not buffer between calls, so this is the stream of one
+    # call per (draw, n); then every bootstrap median and slope at once
     rng = np.random.default_rng(seed)
-    idx = {n: np.empty((N_BOOT, len(records[n])), dtype=np.int64) for n in ns}
-    for b in range(N_BOOT):
-        for n in ns:
-            idx[n][b] = rng.integers(0, len(records[n]), size=len(records[n]))
-    boot_meds = np.stack([np.median(records[n][idx[n]], axis=1) for n in ns])
+    sizes = [len(records[n]) for n in ns]
+    idx = rng.integers(0, np.repeat(sizes, sizes), size=(N_BOOT, sum(sizes)))
+    cols = np.split(idx, np.cumsum(sizes)[:-1], axis=1)
+    boot_meds = np.stack([np.median(records[n][c], axis=1)
+                          for n, c in zip(ns, cols)])
     boot = loglog_fit(ns, boot_meds)[0]
     ci = (float(np.percentile(boot, 5)), float(np.percentile(boot, 95)))
     return RateReport(schedule=schedule_exponents(m), fitted_slope=float(slope),

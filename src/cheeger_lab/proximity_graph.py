@@ -148,15 +148,23 @@ def _edges_kdtree(points, eps):
 # ---------------------------------------------------------------------------
 
 def gtv(graph: ProximityGraph, u) -> float:
-    """Graph total variation seminorm of a vertex function."""
+    """Graph total variation seminorm of a 1-D vertex function.
+
+    The exactly rounded ``math.fsum`` of the nonzero edge terms |u_i - u_j|:
+    an exact sum does not depend on the order of its terms, and dropping
+    exact zeros does not change it, so the value is that of the sum over
+    every edge (NaN and inf terms are nonzero and propagate).
+    """
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError(f"vertex function must be 1-D, got shape {u.shape}")
     if u.shape[0] != graph.n:
         raise ValueError("vertex function length mismatch")
     if not len(graph.edges):
         return 0.0
-    # fixed edge order, exactly rounded sum read straight from the array's
-    # buffer; factor 2 for the ordered sum
-    terms = np.abs(u[graph.edges[:, 0]] - u[graph.edges[:, 1]])
+    diff = u[graph.edges[:, 0]] - u[graph.edges[:, 1]]
+    # for an indicator only the cut edges remain; factor 2 for the ordered sum
+    terms = np.abs(diff[diff != 0])
     return 2.0 * graph.rescale * math.fsum(memoryview(terms))
 
 

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cheeger_lab.consistency import (TransportSurrogate,
+from cheeger_lab.consistency import (N_BOOT, TransportSurrogate,
                                      circle_transport_delta, cut_l1_error,
                                      fit_rate, fix_mass, interpolate,
-                                     match_minimizer,
+                                     loglog_fit, match_minimizer,
                                      perturbed_strip_excess,
                                      schedule_exponents, stability_exponent,
                                      transport_assign, ustat_concentration)
-from cheeger_lab.errors import (BandwidthTooSmall, InfeasibleMass,
-                                InsufficientData)
+from cheeger_lab.errors import (BandwidthTooSmall, ConfigError,
+                                InfeasibleMass, InsufficientData)
 from cheeger_lab.manifold import (CircleArc, PointCloud, SphereCap,
                                   TorusStrip, _wrap_dist, get_manifold)
 from cheeger_lab.nonlocal_tv import (ContinuumFunction, SmoothingKernel,
@@ -349,6 +349,13 @@ def test_ustat_refuses_an_empty_n_list():
         ustat_concentration(CIRCLE, f, [], 0.1, trials=3, seed=0)
 
 
+def test_ustat_refuses_a_repeated_n():
+    # the repeated n would be sampled twice and reported as two entries
+    f = indicator_function(CIRCLE.default_minimizer())
+    with pytest.raises(ConfigError, match=r"n_list repeats n: \[50\]"):
+        ustat_concentration(CIRCLE, f, [50, 100, 50], 0.1, trials=3, seed=0)
+
+
 def test_cut_l1_error_on_planted_instance():
     rng = np.random.default_rng(6)
     t = np.concatenate([rng.random(9) * 0.3, 0.5 + rng.random(9) * 0.3])
@@ -395,6 +402,27 @@ def test_fit_rate_bootstrap_deterministic():
     a = fit_rate(rec, seed=5)
     b = fit_rate(rec, seed=5)
     assert a.slope_ci == b.slope_ci
+
+
+def test_fit_rate_bootstrap_draws_match_a_per_draw_loop():
+    # one call draws every index in (draw, n, k) order; the reference draws
+    # them one (draw, n) row at a time. n = 2000 lost a trial, as a failed
+    # trial would leave it
+    rng = np.random.default_rng(2)
+    ns = (500, 1000, 2000, 4000)
+    rec = {n: n ** -0.4 * (1 + 0.3 * rng.standard_normal(7 if n == 2000 else 8))
+           for n in ns}
+    ref = np.random.default_rng(11)
+    idx = {n: np.empty((N_BOOT, len(rec[n])), dtype=np.int64) for n in ns}
+    for b in range(N_BOOT):
+        for n in ns:
+            idx[n][b] = ref.integers(0, len(rec[n]), size=len(rec[n]))
+    boot_meds = np.stack([np.median(rec[n][idx[n]], axis=1) for n in ns])
+    boot = loglog_fit(ns, boot_meds)[0]
+    want = (float(np.percentile(boot, 5)), float(np.percentile(boot, 95)))
+    rr = fit_rate(rec, seed=11)
+    assert rr.slope_ci == want
+    assert rr.fitted_slope == loglog_fit(ns, [np.median(rec[n]) for n in ns])[0]
 
 
 def test_stability_exponent():

@@ -450,6 +450,14 @@ def test_cli_ustat_refuses_an_empty_n_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_ustat_refuses_a_repeated_n(tmp_path, capsys):
+    out = tmp_path / "ustat.json"
+    assert cli.main(["--out", str(out), "ustat", "--manifold", "circle",
+                     "--n", "100,100", "--trials", "2"]) == 2
+    assert "n_list repeats n: [100]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_cli_lines_parse():
     # every `cheeger-lab` line of the README's CLI block, continuations joined
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

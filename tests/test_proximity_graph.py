@@ -56,13 +56,39 @@ def test_gtv_matches_brute_force():
 @pytest.mark.parametrize("name,eps", [("circle", 0.05), ("flat_torus_2", 0.15),
                                       ("sphere_2", 0.12)])
 def test_gtv_is_the_exactly_rounded_sum_of_its_terms(name, eps):
-    # fsum reads the same floats, in edge order, from the buffer as from a list
+    # gtv sums only the nonzero terms; the exact sum of every edge term, zeros
+    # included and in edge order, is the same float, bit for bit
     g = build_graph(get_manifold(name).sample(400, seed=7), eps)
     rng = np.random.default_rng(8)
-    for _ in range(3):
-        u = rng.standard_normal(g.n) * 1e3 + rng.random(g.n)
+    us = [rng.standard_normal(g.n) * 1e3 + rng.random(g.n) for _ in range(3)]
+    # indicators: all but the cut terms are zero
+    us += [(g.points[:, 0] > t).astype(float) for t in (-0.5, 0.0, 0.3)]
+    us += [(rng.random(g.n) < 0.02).astype(float)]
+    # integer values with many ties, and a constant
+    us += [rng.integers(-3, 4, g.n).astype(float), np.full(g.n, 2.5)]
+    # NaN and inf propagate: inf - inf is NaN, inf - x is inf
+    special = {}
+    for bad in ([np.nan], [np.inf], [np.inf, np.inf], [np.inf, -np.inf],
+                [np.nan, np.inf]):
+        u = rng.integers(0, 2, g.n).astype(float)
+        u[rng.choice(g.n, size=len(bad), replace=False)] = bad
+        special[str(bad)] = u
+    for u in us + list(special.values()):
         terms = np.abs(u[g.edges[:, 0]] - u[g.edges[:, 1]])
-        assert gtv(g, u) == 2.0 * g.rescale * math.fsum(terms.tolist())
+        want = 2.0 * g.rescale * math.fsum(terms.tolist())
+        assert np.float64(gtv(g, u)).tobytes() == np.float64(want).tobytes()
+    assert math.isnan(gtv(g, special["[nan]"]))
+    assert gtv(g, special["[inf]"]) == math.inf
+
+
+def test_gtv_refuses_a_vertex_function_that_is_not_1d():
+    # a (n, 2) array passes the length check; its columns must not be summed
+    g = build_graph(get_manifold("circle").sample(50, seed=1), 0.2)
+    u = np.zeros((g.n, 2))
+    with pytest.raises(ValueError, match="must be 1-D"):
+        gtv(g, u)
+    with pytest.raises(ValueError, match="must be 1-D"):
+        gtv(g, 1.0)
 
 
 def _int64_key_edges(points, eps):
