@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +117,18 @@ def test_tvh_resolution_guard_and_scale_limit():
     fine = build_grid(CIRCLE, 400)
     with pytest.raises(ValueError, match="admissible"):
         tv_nonlocal(f, 0.3, fine)
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
+@pytest.mark.parametrize("scale", [np.nan, 0.0, -0.05, -np.inf, np.inf])
+def test_scales_must_be_positive_and_finite(name, scale):
+    mf = get_manifold(name)
+    g = grid_for_scale(mf, 0.1, 4)
+    f = indicator_function(mf.default_minimizer())
+    with pytest.raises(ValueError, match=rf"^h={scale} must be positive and finite"):
+        tv_nonlocal(f, scale, g)
+    with pytest.raises(ValueError, match=rf"^bandwidth a={scale} must be positive and finite"):
+        smooth(f, SmoothingKernel(a=scale), g)
 
 
 def test_tvh_layer_cake_three_levels():
@@ -327,6 +341,46 @@ def test_sphere_zonal_tvh_matches_dense_band_sum(h):
         assert tv_nonlocal(f, h, g) == pytest.approx(dense, rel=1e-12, abs=0)
 
 
+def _zonal_traced(f, h):
+    """_tvh_sphere_zonal(f, h) and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        value = nonlocal_tv._tvh_sphere_zonal(f, h, SPHERE)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("h", [0.04, 0.25])
+def test_sphere_zonal_tvh_band_runs_match_the_dense_band_sum(monkeypatch, h):
+    f = indicator_function(SphereCap(SPHERE, pole=[0.3, -0.2, 0.9]))
+    dense = _tvh_sphere_zonal_dense(f, h, SPHERE)
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1)
+    per_band, per_band_peak = _zonal_traced(f, h)  # one band per run
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1e15)
+    one_run, one_run_peak = _zonal_traced(f, h)
+    assert per_band == pytest.approx(dense, rel=1e-12, abs=0)
+    assert one_run == pytest.approx(dense, rel=1e-12, abs=0)
+    assert abs(per_band - one_run) <= 4 * np.spacing(one_run)
+    # a run holds one band's pairs, not all of them
+    assert per_band_peak < one_run_peak / 10
+
+
+def test_pair_sums_stay_within_a_cache_budget():
+    # with all pairs in one block these peak at 219 and 51 MB
+    cap = indicator_function(SphereCap(SPHERE, pole=[0.3, -0.2, 0.9]))
+    assert _zonal_traced(cap, 0.25)[1] < 16 * 2 ** 20
+    g = grid_for_scale(SPHERE, 0.1, 4)
+    lam = smooth(cap, SmoothingKernel(a=0.2), g)
+    tracemalloc.start()
+    try:
+        lam(g.nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def _lag_weight(n, h, lag):
     """Unfolded W(l) = int hat_l(z) 1_{|z|<=h} dz for a signed circle lag."""
     s = 1.0 / n
@@ -349,10 +403,10 @@ def test_lattice_folded_offsets_match_full_roll_sum(name, h):
         lmax = int(np.floor(h * n)) + 1
         offs = np.array([[l] for l in range(-lmax, lmax + 1) if l != 0])
         wts = np.array([_lag_weight(n, h, l) for (l,) in offs])
-        folded, _ = nonlocal_tv._circle_lag_pairs(n, h)
+        folded, folded_wts = nonlocal_tv._circle_lag_pairs(n, h)
     else:
         offs, wts = nonlocal_tv._torus_offset_weights(n, h)
-        folded, _ = nonlocal_tv._torus_offset_pairs(n, h)
+        folded, folded_wts = nonlocal_tv._torus_offset_pairs(n, h)
     assert len(folded) < len(offs)
     # every offset with a weight is rolled itself or through its mirror
     covered = {tuple(o) for o in np.concatenate([folded, -folded]).tolist()}
@@ -363,6 +417,12 @@ def test_lattice_folded_offsets_match_full_roll_sum(name, h):
                    for o, w in zip(offs, wts)) / h ** (mf.m + 1)
         assert full > 0
         assert nonlocal_tv._tvh_lattice(v, h) == pytest.approx(full, rel=1e-12, abs=0)
+        # the tiled windows read exactly the rolled lattices: equal bit for bit
+        cell = math.prod([1.0 / n] * mf.m)
+        rolled = 0.0
+        for o, w in zip(folded, folded_wts):
+            rolled += cell * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
+        assert nonlocal_tv._tvh_lattice(v, h) == rolled / h ** (mf.m + 1)
 
 
 _ANALYTIC_GRADIENTS = {
@@ -413,10 +473,41 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
     monkeypatch.setattr(nonlocal_tv, "cKDTree", counting_tree)
     blocked = smooth(f, kern, g)(pts)
-    block = trees[1]
-    assert block in (49, 50) and len(trees) == 2 + len(pts) // block
+    # the node tree, the tree that orders the points, then one per block
+    assert trees[1] == len(pts)
+    block = trees[2]
+    assert block in (49, 50) and len(trees) == 3 + len(pts) // block
     assert 0 < trees[-1] < block
     assert np.allclose(blocked, whole, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("name", ["circle", "flat_torus_2", "sphere_2"])
+def test_smooth_blocks_are_compact_in_any_point_order(monkeypatch, name):
+    mf = get_manifold(name)
+    f = indicator_function(mf.default_minimizer())
+    a = 0.1
+    g = grid_for_scale(mf, a, 4)
+    kern = SmoothingKernel(a=a)
+    pts = np.concatenate([mf.sample(1001, seed=3).points, g.nodes])
+    perm = np.random.default_rng(4).permutation(len(pts))
+    in_order = smooth(f, kern, g)(pts)
+    trees = []
+
+    def recording_tree(data, **kwargs):
+        trees.append(np.array(data))
+        return cKDTree(data, **kwargs)
+
+    monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
+    monkeypatch.setattr(nonlocal_tv, "cKDTree", recording_tree)
+    shuffled = np.empty(len(pts))
+    shuffled[perm] = smooth(f, kern, g)(pts[perm])
+    assert np.allclose(shuffled, in_order, rtol=1e-13, atol=0)
+    # after the node tree and the ordering tree, each block spans a small
+    # part of the manifold: its coordinate extent is far below the cloud's
+    blocks = trees[2:]
+    assert len(blocks) > 20
+    extent = np.mean([np.ptp(b, axis=0).sum() for b in blocks])
+    assert extent < 0.25 * np.ptp(trees[1], axis=0).sum()
 
 
 def _oracle_points(mf, g):
