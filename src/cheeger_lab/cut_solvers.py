@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EigenNotConverged, SizeLimitExceeded, WrongManifold
-from .manifold import Circle
+from .manifold import Circle, _wrap
 from .proximity_graph import (ProximityGraph, _as_mask, cheeger_ratio,
                               cut_and_balance, objective)
 
@@ -40,7 +40,7 @@ EXACT_LIMIT = 24
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 10_000
 LOCAL_SEARCH_PASSES = 10
-ARC_BLOCK = 1 << 16  # int64 elements per block of the arc sweep's window scan
+ARC_BLOCK = 1 << 19  # bytes per block of arc lengths in the arc sweep, any dtype
 
 # what a solver's cut is guaranteed to be; every solver not named is a heuristic
 CERTIFICATES = {"exact": "GlobalOptimum", "arc_sweep": "FamilyOptimum"}
@@ -142,8 +142,10 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). For
     max lccw <= k <= n - 1 - max rcw both terms are fixed, so
     cut_k(s) = base(s) + Q[s + k] with Q the prefix sum of rcw - lccw along
-    the doubled order; that middle range is scanned in windows, the lengths
-    below and above it step the recurrence.
+    the doubled order. That middle range is scanned in windows; the lengths
+    below and above it step the recurrence, a block of lengths at a time.
+    A cut is at most E, |Q| at most 2E and |base| at most 3E, so the sweep
+    counts in int32 while 3E < 2^31 and in int64 beyond.
     """
     if graph.cloud is None or not isinstance(graph.cloud.manifold, Circle):
         raise WrongManifold("arc sweep requires a graph built on a Circle cloud")
@@ -159,45 +161,54 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     rcw = np.zeros(n, dtype=np.int64)   # neighbors among angular successors
     if len(graph.edges):
         i, j = graph.edges[:, 0], graph.edges[:, 1]
-        g = np.mod(t[j] - t[i], 1.0)
+        g = _wrap(t[j] - t[i])
         fwd = (g < 0.5) | ((g == 0.5) & (i < j))
         head = np.where(fwd, j, i)  # the endpoint ahead of the other
         lccw = np.bincount(head, minlength=n)
         rcw = np.bincount(i + j - head, minlength=n)
+    # the narrowest of int32 and int64 that holds 3E (see above)
+    dtype = np.int32 if 3 * len(graph.edges) < 2 ** 31 else np.int64
     # positions s + k of the doubled angular order need no modulo
-    lc = np.tile(lccw[order], 2)
-    rc = np.tile(rcw[order], 2)
+    lc = np.tile(lccw[order].astype(dtype), 2)
+    rc = np.tile(rcw[order].astype(dtype), 2)
 
     start = np.empty(n - 1, dtype=np.int64)
-    least = np.empty(n - 1, dtype=np.int64)
+    least = np.empty(n - 1, dtype=dtype)
+
+    def keep(k, block):
+        """Least cut and its first start, per row of cuts of length k, k + 1, ..."""
+        s = np.argmin(block, axis=1)
+        start[k - 1:k - 1 + len(block)] = s
+        least[k - 1:k - 1 + len(block)] = block[np.arange(len(block)), s]
+
     mid_lo = max(int(lccw.max()), 1)
     mid_hi = n - 1 - int(rcw.max())
-    if mid_lo > mid_hi:
+    if mid_lo >= mid_hi:
         mid_lo = n  # no middle range: the recurrence covers every length
+    lw, rw = sliding_window_view(lc, n), sliding_window_view(rc, n)
+    rows = max(1, ARC_BLOCK // (n * lc.itemsize))
     k, cut = 1, lc[:n] + rc[:n]  # arcs of length 1 starting at s
-    while True:
+    while k < n:
         if k == mid_lo:
-            q = np.concatenate([[0], np.cumsum(rc - lc)])
+            q = np.zeros(2 * n + 1, dtype=dtype)
+            np.cumsum(rc - lc, dtype=dtype, out=q[1:])
             base = cut - q[k:k + n]
             windows = sliding_window_view(q, n)
-            rows = max(1, ARC_BLOCK // n)
-            for lo in range(mid_lo, mid_hi + 1, rows):
-                hi = min(lo + rows, mid_hi + 1)
-                block = base + windows[lo:hi]
-                s = np.argmin(block, axis=1)
-                start[lo - 1:hi - 1] = s
-                least[lo - 1:hi - 1] = block[np.arange(hi - lo), s]
-            k = mid_hi
-            cut = base + q[k:k + n]
-        else:
-            s = int(np.argmin(cut))
-            start[k - 1], least[k - 1] = s, cut[s]
-        if k == n - 1:
-            break
+            for lo in range(mid_lo, mid_hi, rows):
+                keep(lo, base + windows[lo:min(lo + rows, mid_hi)])
+            k, cut = mid_hi, base + q[mid_hi:mid_hi + n]
+            continue
+        # step the recurrence over a block of lengths k..hi - 1 and on to hi:
         # extend every arc by the vertex at position s + k
-        lv, rv = lc[k:k + n], rc[k:k + n]
-        cut = cut + lv + rv - 2 * (np.minimum(lv, k) + np.maximum(0, k + rv + 1 - n))
-        k += 1
+        hi = min(k + rows, mid_lo if k < mid_lo else n)
+        lv, rv, kk = lw[k:hi], rw[k:hi], np.arange(k, hi, dtype=dtype)[:, None]
+        step = lv + rv - 2 * (np.minimum(lv, kk) + np.maximum(0, kk + rv + 1 - n))
+        block = np.empty((hi - k + 1, n), dtype=dtype)
+        block[0] = cut
+        for r, inc in enumerate(step):
+            np.add(block[r], inc, out=block[r + 1])
+        keep(k, block[:-1])
+        k, cut = hi, block[-1]
     k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, graph.rescale))) + 1
     subset = order[(start[k - 1] + np.arange(k)) % n]
     return result_from_subset(graph, subset, solver="arc_sweep")
@@ -306,15 +317,23 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 
     Each move flips the first vertex whose flip scores least, while that is
     strictly below the current ratio, for at most ``LOCAL_SEARCH_PASSES * n``
-    moves; a search that moves nothing returns ``start`` itself.
+    moves; a search that moves nothing returns ``start`` itself. A graph
+    that holds no CSR yet (the circle pipeline's) scores the start off its
+    edge list and builds the CSR only to apply a move.
     """
     n = graph.n
     mask = _as_mask(n, start.subset)
-    A = graph.adjacency
-    indptr, indices = A.indptr, A.indices
-    deg = graph.degrees
-    d_in = A @ mask.astype(float)
-    d_in = d_in.astype(np.int64)
+    if graph._adj is None:
+        edges = graph.edges
+        deg = np.bincount(edges.ravel(), minlength=n)
+        # a vertex's crossing edges are its neighbours on the other side
+        crossing = edges[mask[edges[:, 0]] != mask[edges[:, 1]]]
+        d_out = np.bincount(crossing.ravel(), minlength=n)
+        d_in = np.where(mask, deg - d_out, d_out)
+    else:
+        deg = graph.degrees
+        d_in = graph.adjacency @ mask.astype(float)
+        d_in = d_in.astype(np.int64)
     # each inside vertex contributes deg - d_in crossing edges
     cut = int(np.sum(deg[mask] - d_in[mask]))
     size = int(mask.sum())
@@ -328,8 +347,9 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
         v = int(np.argmin(vals))
         if not vals[v] < cur:
             break
-        # apply the move
-        nb = indices[indptr[v]:indptr[v + 1]]
+        # apply the move; the first one builds the CSR on a fresh graph
+        A = graph.adjacency
+        nb = A.indices[A.indptr[v]:A.indptr[v + 1]]
         if mask[v]:
             mask[v] = False
             size -= 1

@@ -28,13 +28,18 @@ ON_MANIFOLD_TOL = 1e-9
 
 
 def _wrap(x):
-    """Map to [0, 1)."""
-    return np.mod(x, 1.0)
+    """Map to [0, 1), bit for bit as ``np.mod(x, 1.0)`` with no division.
+
+    For |x| < 1 and for a fractional part f = x - floor(x) the subtraction
+    is exact; otherwise both round f + 1 once, so a tiny negative x maps to
+    1.0 in both. ±0 maps to +0.0, inf and NaN to NaN.
+    """
+    return x - np.floor(x)
 
 
 def _wrap_dist(a, b):
     """Wraparound distance between points of the unit circle [0,1)."""
-    d = np.abs(np.mod(a - b, 1.0))
+    d = np.abs(_wrap(a - b))
     return np.minimum(d, 1.0 - d)
 
 
@@ -204,8 +209,8 @@ class FlatTorus(Manifold):
         return np.abs(np.linalg.norm(pairs, axis=-1) - self.radius).max(axis=-1)
 
     def tree_coords(self, points):
-        t = self.to_intrinsic(points).reshape(len(points), -1)
-        t[t == 1.0] = 0.0  # np.mod(-1e-17, 1.0) == 1.0 lies outside the periodic box
+        t = self.to_intrinsic(points).reshape(len(points), self.m)
+        t[t == 1.0] = 0.0  # _wrap(-1e-17) == 1.0 lies outside the periodic box
         return t, 1.0
 
     def tree_radius(self, r):
@@ -225,7 +230,7 @@ class FlatTorus(Manifold):
     def match_family(self, points, gain):
         """Parameter of the minimizer whose nodes have the least sum of
         ``gain``: the best half-window on each axis, ties to the lower axis."""
-        coord = self.to_intrinsic(points).reshape(len(points), -1)
+        coord = self.to_intrinsic(points).reshape(len(points), self.m)
         best = [_best_half_window(coord[:, k], gain) for k in range(self.m)]
         axis = min(range(self.m), key=lambda k: best[k][0])
         return self.window_param(axis, best[axis][1])

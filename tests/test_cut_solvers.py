@@ -324,6 +324,37 @@ def test_local_search_matches_the_brute_force_greedy_oracle(name, eps, n):
     assert moved  # the trivial start [0] moves on every graph here
 
 
+@pytest.mark.parametrize("name,eps", [("circle", 0.1), ("flat_torus_2", 0.25),
+                                      ("sphere_2", 0.25)])
+def test_local_search_without_a_csr_matches_the_csr_search(name, eps):
+    # a fresh graph scores the start off its edge list and builds the CSR
+    # only to move; a graph whose CSR was read runs the CSR path throughout
+    n = 120
+    cloud = get_manifold(name).sample(n, seed=3)
+    rng = np.random.default_rng(5)
+    moved = 0
+    for p in (0.1, 0.3, 0.5, 0.7):
+        subset = np.flatnonzero(rng.random(n) < p)
+        fresh, held = build_graph(cloud, eps), build_graph(cloud, eps)
+        held.adjacency
+        start = result_from_subset(fresh, subset, "random")
+        got, want = refine_local_search(fresh, start), refine_local_search(held, start)
+        assert np.array_equal(got.subset, want.subset)
+        assert got.objective_value == want.objective_value
+        assert got.extras == want.extras
+        moved += got.extras.get("moves", 0) > 0
+    assert moved == 4
+
+
+def test_circle_pipeline_builds_no_csr():
+    # the arc sweep reads the edge list and local search moves no vertex
+    n = 500
+    g = build_graph(get_manifold("circle").sample(n, seed=2), 2 * n ** -0.5)
+    res = solve_pipeline(g)
+    assert res.extras["winner"] == "arc_sweep"
+    assert g._adj is None
+
+
 def test_canonical_subset_contains_vertex_zero():
     mf = get_manifold("circle")
     cloud = mf.sample(40, seed=2)

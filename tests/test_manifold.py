@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 from cheeger_lab import manifold
 from cheeger_lab.manifold import (Circle, CircleArc, FlatTorus2, PointCloud,
                                   Sphere2, SphereCap, TorusStrip,
-                                  _best_half_window, get_manifold)
+                                  _best_half_window, _wrap, _wrap_dist,
+                                  get_manifold)
 from cheeger_lab.quadrature import build_grid
 
 ALL = ["circle", "flat_torus_2", "sphere_2"]
@@ -291,6 +292,68 @@ def test_torus_match_family_ties_go_to_the_lower_axis():
     flipped = ((v < 0.5) | ((v < 0.625) & (u < 0.125))).astype(float)
     axis, start = match(strip)
     assert axis == 0 and match(flipped) == (1, start)
+
+
+def _same_bits(a, b):
+    """Bitwise equal doubles, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(
+        (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+def test_wrap_is_bitwise_the_float_modulo():
+    rng = np.random.default_rng(22)
+    n = 200_000
+    edge = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-17, -1e-17, 5e-324,
+                     -5e-324, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0),
+                     2.0 ** 52 + 0.5, -(2.0 ** 52) - 0.5, 2.0 ** 53, 1e300,
+                     -1e300, np.inf, -np.inf, np.nan])
+    samples = [edge, rng.random(n), rng.random(n) - 0.5,
+               rng.standard_normal(n) * 1e-15, rng.standard_normal(n) * 1e6,
+               rng.standard_normal(n) * 1e17,
+               np.arctan2(rng.standard_normal(n), rng.standard_normal(n)) / (2 * np.pi)]
+    with np.errstate(invalid="ignore"):
+        for x in samples:
+            assert _same_bits(_wrap(x), np.mod(x, 1.0))
+            y = rng.permutation(x)
+            d = np.abs(np.mod(x - y, 1.0))
+            assert _same_bits(_wrap_dist(x, y), np.minimum(d, 1.0 - d))
+        for v in edge:
+            assert _same_bits(_wrap(v), np.mod(v, 1.0))
+    # the cases where the two could part: a tiny negative rounds up to 1.0,
+    # a signed zero lands on +0.0
+    assert _wrap(-1e-17) == 1.0 and _same_bits(_wrap(-0.0), 0.0)
+
+
+class _FloatModuloSites(ast.NodeVisitor):
+    """(module, function) of each use of np.mod, np.remainder or np.fmod."""
+
+    NAMES = {"mod", "remainder", "fmod"}
+
+    def __init__(self, module):
+        self.module, self.scope, self.sites = module, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if (node.attr in self.NAMES and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            self.sites.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_periodic_wraps_go_through_wrap():
+    # one home for the periodic wrap: `_wrap` subtracts the floor, which is
+    # bit-equal to the float modulo and does no division
+    sites = []
+    for path in sorted(Path(manifold.__file__).parent.glob("*.py")):
+        visitor = _FloatModuloSites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sites == []
 
 
 class _IsinstanceSites(ast.NodeVisitor):

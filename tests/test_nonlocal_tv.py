@@ -202,6 +202,14 @@ def test_smooth_resolution_guard():
         smooth(constant_function(1.0), SmoothingKernel(a=0.05), g)
 
 
+@pytest.mark.parametrize("mf", [CIRCLE, TORUS, SPHERE], ids=lambda mf: mf.name)
+def test_smooth_of_an_empty_point_set_is_empty(mf):
+    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.1),
+                 grid_for_scale(mf, 0.1))
+    out = lam(np.empty((0, mf.d)))
+    assert out.shape == (0,) and out.dtype == float
+
+
 def test_bias_inequality_reports():
     rep = check_bias_inequality(CIRCLE, CircleArc(CIRCLE, center=0.0),
                                 [0.05, 0.1])
