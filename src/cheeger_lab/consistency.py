@@ -308,8 +308,8 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
         vals = np.empty(trials)
         for t in range(trials):
             cloud = manifold.sample(n, seed=int(rng.integers(2 ** 62)))
-            graph = build_graph(cloud, eps)
-            vals[t] = gtv(graph, f(cloud.points))
+            # the graph goes before the next is built: one held at a time
+            vals[t] = gtv(build_graph(cloud, eps), f(cloud.points))
         # the bias inequality's (1 + C eps^2) sigma TV
         bound0 = sigma * tv * (1.0 + CHECK_C * eps * eps)
         exceed = {float(z): float(np.mean(vals > bound0 + z)) for z in ZETA_GRID}

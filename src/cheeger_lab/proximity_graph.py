@@ -31,7 +31,7 @@ class ProximityGraph:
     points: np.ndarray           # (n, d)
     epsilon: float
     m: int                       # intrinsic dimension used in the rescaling
-    edges: np.ndarray            # (E, 2) int array, i < j, lexicographically sorted
+    edges: np.ndarray            # (E, 2) int array, i < j, each pair once, any row order
     cloud: object = None         # optional PointCloud provenance
     _adj: sp.csr_matrix = field(default=None, repr=False)
 
@@ -47,14 +47,23 @@ class ProximityGraph:
     @property
     def adjacency(self) -> sp.csr_matrix:
         if self._adj is None:
-            # the sorted edges are already the rows of the upper triangle
-            n = self.n
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.edges[:, 0], minlength=n), out=indptr[1:])
-            upper = sp.csr_matrix((np.ones(len(self.edges)),
-                                   self.edges[:, 1].astype(np.int32), indptr),
-                                  shape=(n, n))
-            self._adj = upper + upper.T
+            # one sort of the 2E directed keys r*n + c is the canonical CSR
+            # order, whatever the order of the edge rows
+            n, e = self.n, len(self.edges)
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            key = np.empty(2 * e, dtype=np.min_scalar_type(n * n))
+            _edge_keys(i, j, n, out=key[:e])
+            _edge_keys(j, i, n, out=key[e:])
+            key.sort()
+            # scipy's own index type for this shape and 2E entries
+            idx = np.int32 if max(2 * e, n) < 2 ** 31 else np.int64
+            # row r holds the keys r*n .. r*n + n - 1
+            indptr = np.searchsorted(key, np.arange(n + 1, dtype=key.dtype) * n)
+            indices = np.empty(2 * e, dtype=idx)
+            # the quotient (the row) overwrites the key; the remainder is the column
+            np.divmod(key, n, out=(key, indices))
+            self._adj = sp.csr_matrix((np.ones(2 * e), indices, indptr.astype(idx)),
+                                      shape=(n, n))
         return self._adj
 
     @property
@@ -66,8 +75,7 @@ class ProximityGraph:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j"])
-            for i, j in self.edges:
-                w.writerow([int(i), int(j)])
+            w.writerows(_key_sorted(self.edges, self.n).tolist())
         meta = {"n": int(self.n), "epsilon": float(self.epsilon),
                 "m": int(self.m), "cloud_ref": cloud_ref}
         with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
@@ -91,7 +99,8 @@ class ProximityGraph:
             raise ValueError(f"{path}: the cloud has {cloud.points.shape[0]} "
                              f"points, the graph n = {n}")
         raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
-        # i < j and lexicographic order, as `adjacency` reads rows off the list
+        # i < j and each pair once, as `adjacency`, `gtv` and the cut counts
+        # take each row for one undirected edge
         edges = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0)
         # `adjacency` builds its CSR without checking the indices
         if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= n):
@@ -119,28 +128,45 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
             points = points[:, None]
         if m is None:
             raise ValueError("m required when building from a raw point array")
-    if not (math.isfinite(epsilon) and epsilon > 0):
+    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon)
+                                                       and epsilon > 0):
         raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
+    if not (is_int(m) and m > 0):
+        raise ValueError(f"m must be a positive integer, got {m!r}")
     edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
                           edges=edges, cloud=cloud)
 
 
 def _edges_kdtree(points, eps):
+    """The tree's pairs, i < j, in the tree's order.
+
+    ``query_pairs`` returns a view of scipy's pair vector, whose capacity can
+    reach twice its length, so the pairs are copied into an exact-size array.
+    """
     n = points.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    # pairs have i < j; one sort of the key i*n + j is the lexicographic order,
-    # kept in the narrowest unsigned type that holds n^2 (uint32 below n = 2^16)
+    return np.array(pairs, dtype=np.int64)
+
+
+def _edge_keys(rows, cols, n, out=None):
+    """Keys r*n + c in the narrowest unsigned type that holds n^2 (uint32
+    below n = 2^16); sorted, they give the lexicographic order of (r, c)."""
     dtype = np.min_scalar_type(n * n)
-    key = pairs[:, 0].astype(dtype)
-    key *= n
-    key += pairs[:, 1].astype(dtype)
+    key = np.multiply(rows.astype(dtype), n, out=out)
+    key += cols.astype(dtype)
+    return key
+
+
+def _key_sorted(edges, n):
+    """The edge rows in lexicographic order, from one sort of their keys."""
+    key = _edge_keys(edges[:, 0], edges[:, 1], n)
     key.sort()
-    edges = np.empty((len(key), 2), dtype=np.int64)
-    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
-    return edges
+    out = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,11 @@ def test_criterion_02_brute_force_oracles():
         eps = min(0.25, 10.0 / n) if mf.m == 1 else min(0.25, 1.6 * n ** -0.45)
         cloud = mf.sample(n, seed=2000 + i)
         g = build_graph(cloud, eps)
-        edges_ok += np.array_equal(g.edges, brute_edges(cloud.points, eps))
+        # the tree's order: compare the pairs sorted by the key i*n + j
+        e = g.edges
+        edges_ok += (bool((e[:, 0] < e[:, 1]).all())
+                     and np.array_equal(e[np.argsort(e[:, 0] * n + e[:, 1])],
+                                        brute_edges(cloud.points, eps)))
         u = rng.standard_normal(n)
         gtv_ok += abs(gtv(g, u) - brute_gtv(cloud.points, eps, mf.m, u)) <= 1e-12
         k = int(rng.integers(1, n))

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from cheeger_lab import consistency
 from cheeger_lab.consistency import (N_BOOT, TransportSurrogate,
                                      circle_transport_delta, cut_l1_error,
                                      fit_rate, fix_mass, interpolate,
@@ -347,6 +350,22 @@ def test_ustat_refuses_an_empty_n_list():
     f = indicator_function(CIRCLE.default_minimizer())
     with pytest.raises(InsufficientData, match="at least one sample size"):
         ustat_concentration(CIRCLE, f, [], 0.1, trials=3, seed=0)
+
+
+def test_ustat_holds_one_graph_at_a_time(monkeypatch):
+    # a trial's graph is freed before the next one is built
+    built = []
+
+    def build(cloud, eps):
+        assert all(ref() is None for ref in built)
+        g = build_graph(cloud, eps)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(consistency, "build_graph", build)
+    f = indicator_function(CIRCLE.default_minimizer())
+    ustat_concentration(CIRCLE, f, [50, 100], 0.1, trials=3, seed=0)
+    assert len(built) == 6
 
 
 def test_ustat_refuses_a_repeated_n():

@@ -1,17 +1,21 @@
+import ast
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheeger_lab import cli
+from cheeger_lab import cli, proximity_graph
+from cheeger_lab.cut_solvers import (_best_sweep_k, refine_local_search,
+                                     result_from_subset, solve_arc_sweep,
+                                     solve_exact)
 from cheeger_lab.manifold import get_manifold
-from cheeger_lab.proximity_graph import (ProximityGraph, _edges_kdtree,
+from cheeger_lab.proximity_graph import (ProximityGraph, _key_sorted,
                                          build_graph, cheeger_ratio,
                                          cut_and_balance, cut_size, gtv,
                                          objective)
@@ -23,6 +27,27 @@ def brute_edges(points, eps):
     d = np.sqrt((diff * diff).sum(-1))
     i, j = np.where(np.triu(d <= eps, k=1))
     return np.stack([i, j], axis=1)
+
+
+def int64_key_sorted(edges, n):
+    """The edge rows in lexicographic order, from a sort of the int64 key i*n + j."""
+    edges = np.asarray(edges)
+    return edges[np.argsort(edges[:, 0].astype(np.int64) * n + edges[:, 1])]
+
+
+def coo_adjacency(g):
+    """The symmetric CSR through scipy's COO build, both directions of each edge."""
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    return sp.csr_matrix((np.ones(2 * len(g.edges)),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(g.n, g.n))
+
+
+def assert_same_csr(got, want):
+    assert got.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
 def brute_gtv(points, eps, m, u):
@@ -40,7 +65,9 @@ def test_edges_match_brute_force(name, eps):
     cloud = mf.sample(300, seed=5)
     g = build_graph(cloud, eps)
     oracle = brute_edges(cloud.points, eps)
-    assert np.array_equal(g.edges, oracle)
+    # the tree's order: as a set, each pair once, i < j on every row
+    assert (g.edges[:, 0] < g.edges[:, 1]).all()
+    assert np.array_equal(int64_key_sorted(g.edges, g.n), oracle)
 
 
 def test_gtv_matches_brute_force():
@@ -91,23 +118,17 @@ def test_gtv_refuses_a_vertex_function_that_is_not_1d():
         gtv(g, 1.0)
 
 
-def _int64_key_edges(points, eps):
-    """The canonical edge order from an int64 key i*n + j."""
-    n = len(points)
-    pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
-    key = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-    return np.stack(np.divmod(key, n), axis=1)
-
-
 # uint8 up to n = 15, uint16 up to 255, uint32 up to 65 535, then uint64
 @pytest.mark.parametrize("n,eps", [(2, 1.0), (16, 0.5), (255, 0.1), (256, 0.1),
                                    (4000, 0.03), (70_000, 2e-6)])
 def test_edge_key_in_the_narrowest_type_keeps_the_int64_order(n, eps):
-    points = get_manifold("circle").sample(n, seed=n).points
-    got = _edges_kdtree(points, eps)
-    want = _int64_key_edges(points, eps)
+    # `adjacency` sorts the directed keys r*n + c, `save` the keys i*n + j
+    g = build_graph(get_manifold("circle").sample(n, seed=n).points, eps, m=1)
+    assert len(g.edges)
+    assert_same_csr(g.adjacency, coo_adjacency(g))
+    got = _key_sorted(g.edges, n)
     assert got.dtype == np.int64
-    assert len(got) and np.array_equal(got, want)
+    assert np.array_equal(got, int64_key_sorted(g.edges, n))
     if n > 65_535:  # keys above 2^32 occur, so a 32-bit key would wrap
         assert got[-1, 0] * n + got[-1, 1] >= 2 ** 32
 
@@ -115,7 +136,7 @@ def test_edge_key_in_the_narrowest_type_keeps_the_int64_order(n, eps):
 def test_collinear_oracle():
     pts = np.array([[0.0], [0.5], [1.0]])
     g = build_graph(pts, 0.6, m=1)
-    assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+    assert np.array_equal(int64_key_sorted(g.edges, 3), [[0, 1], [1, 2]])
     # one edge crosses {0}: GTV = 2*1/(9 * 0.6^2)
     val, bal = cut_and_balance(g, [0])
     assert abs(val - 2.0 / (9 * 0.36)) < 1e-15
@@ -214,6 +235,24 @@ def test_empty_and_zero_epsilon():
             build_graph(pts, eps, m=2)
 
 
+@pytest.mark.parametrize("eps", [True, np.True_])
+def test_build_graph_refuses_a_bool_epsilon(eps):
+    # True would build with epsilon 1.0
+    with pytest.raises(ValueError, match=f"epsilon must be a positive finite "
+                                         f"number, got {re.escape(repr(eps))}"):
+        build_graph(np.zeros((5, 2)), eps, m=2)
+
+
+@pytest.mark.parametrize("m", [1.7, 0, -1, True, "1", 2.0])
+def test_build_graph_refuses_an_m_that_is_not_a_positive_integer(m):
+    # 1.7 would build with m = 1, and 0 and -1 would build at all
+    cloud = get_manifold("circle").sample(20, seed=1)
+    for source in (cloud, cloud.points):
+        with pytest.raises(ValueError, match=f"m must be a positive integer, "
+                                             f"got {re.escape(repr(m))}"):
+            build_graph(source, 0.3, m=m)
+
+
 def test_adjacency_and_degrees_consistent():
     mf = get_manifold("flat_torus_2")
     cloud = mf.sample(100, seed=2)
@@ -231,15 +270,55 @@ def test_adjacency_equals_the_symmetric_coo_build(name, eps):
         g = build_graph(np.random.default_rng(0).random((10, 2)), eps, m=2)
     else:
         g = build_graph(get_manifold(name).sample(300, seed=5), eps)
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    ref = sp.csr_matrix((np.ones(2 * len(g.edges)),
-                         (np.concatenate([i, j]), np.concatenate([j, i]))),
-                        shape=(g.n, g.n))
-    A = g.adjacency
-    assert A.has_canonical_format
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(A, attr), getattr(ref, attr)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_same_csr(g.adjacency, coo_adjacency(g))
+
+
+def _reordered(g, seed):
+    """The same graph with its edge rows in another order."""
+    perm = np.random.default_rng(seed).permutation(len(g.edges))
+    return ProximityGraph(points=g.points, epsilon=g.epsilon, m=g.m,
+                          edges=g.edges[perm], cloud=g.cloud)
+
+
+def _same_cut(a, b):
+    return (np.array_equal(a.subset, b.subset)
+            and np.float64(a.objective_value).tobytes()
+            == np.float64(b.objective_value).tobytes()
+            and a.solver == b.solver and a.extras == b.extras)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["circle", "flat_torus_2", "sphere_2"]),
+       st.integers(min_value=3, max_value=150), st.floats(min_value=0.1, max_value=0.8),
+       st.integers(min_value=0, max_value=2 ** 31))
+@example("circle", 10, 0.5, 1)  # small enough for solve_exact
+@example("sphere_2", 12, 0.8, 2)
+def test_no_result_depends_on_the_order_of_the_edge_rows(name, n, eps, seed):
+    g = build_graph(get_manifold(name).sample(n, seed=seed % 10_000), eps)
+    h = _reordered(g, seed)
+    ref = coo_adjacency(g)
+    assert_same_csr(g.adjacency, ref)
+    assert_same_csr(h.adjacency, ref)
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n) < rng.random()
+    u = rng.standard_normal(n)
+    for f in (u, mask.astype(float)):
+        assert np.float64(gtv(g, f)).tobytes() == np.float64(gtv(h, f)).tobytes()
+    assert cut_size(g, mask) == cut_size(h, mask)
+    assert cut_and_balance(g, mask) == cut_and_balance(h, mask)
+    assert np.float64(objective(g, mask)).tobytes() == np.float64(objective(h, mask)).tobytes()
+    order = rng.permutation(n)
+    assert _best_sweep_k(g, order) == _best_sweep_k(h, order)
+    # local search off the edge list (fresh graphs) and off the CSR (read above)
+    start = result_from_subset(g, np.flatnonzero(mask) if mask.any() else [0], "random")
+    held = refine_local_search(g, start)
+    assert _same_cut(refine_local_search(h, start), held)
+    assert _same_cut(refine_local_search(_reordered(g, seed + 1), start), held)
+    assert _same_cut(refine_local_search(build_graph(g.cloud, eps), start), held)
+    if name == "circle":
+        assert _same_cut(solve_arc_sweep(h), solve_arc_sweep(g))
+    if n <= 12:
+        assert _same_cut(solve_exact(h), solve_exact(g))
 
 
 def test_graph_save_load_roundtrip(tmp_path):
@@ -249,9 +328,25 @@ def test_graph_save_load_roundtrip(tmp_path):
     path = tmp_path / "graph.csv"
     g.save(path, cloud_ref="cloud.csv")
     back = ProximityGraph.load(path, cloud=cloud)
-    assert np.array_equal(back.edges, g.edges)
+    # the file holds the key-sorted pairs, i < j on every row
+    assert (back.edges[:, 0] < back.edges[:, 1]).all()
+    assert np.array_equal(back.edges, int64_key_sorted(g.edges, g.n))
     assert back.epsilon == g.epsilon
     assert back.m == g.m
+
+
+def test_save_writes_the_key_sorted_pairs_as_crlf_rows(tmp_path):
+    path = tmp_path / "graph.csv"
+    g = ProximityGraph(points=np.zeros((4, 1)), epsilon=0.5, m=1,
+                       edges=np.array([[2, 3], [0, 2], [1, 3], [0, 1]]))
+    g.save(path)
+    assert path.read_bytes() == b"i,j\r\n0,1\r\n0,2\r\n1,3\r\n2,3\r\n"
+    g = build_graph(get_manifold("sphere_2").sample(200, seed=4), 0.3)
+    g.save(path)
+    rows = int64_key_sorted(g.edges, g.n)
+    assert path.read_bytes() == ("i,j\r\n" + "".join(
+        f"{i},{j}\r\n" for i, j in rows.tolist())).encode()
+    assert np.array_equal(ProximityGraph.load(path).edges, rows)
 
 
 def test_load_puts_edges_in_adjacency_order(tmp_path):
@@ -341,3 +436,59 @@ def test_load_rejects_a_cloud_of_another_size(tmp_path):
 def test_raw_points_require_dimension():
     with pytest.raises(ValueError, match="m required"):
         build_graph(np.zeros((5, 2)), 0.1)
+
+
+class _SparseBuildSites(ast.NodeVisitor):
+    """(module, function) of each call that builds a sparse matrix: a call
+    into scipy.sparse outside its csgraph and linalg submodules, or a
+    format conversion such as ``.tocsr()``."""
+
+    CONVERSIONS = {"tocsr", "tocsc", "tocoo", "tolil", "todok", "tobsr",
+                   "todia", "asformat"}
+    OTHER = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
+
+    def __init__(self, module):
+        self.module, self.scope, self.sites, self.names = module, [], [], {}
+
+    def visit_Import(self, node):
+        for a in node.names:
+            self.names[a.asname or a.name.split(".")[0]] = (
+                a.name if a.asname else a.name.split(".")[0])
+
+    def visit_ImportFrom(self, node):
+        for a in node.names:
+            self.names[a.asname or a.name] = f"{node.module}.{a.name}"
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def _dotted(self, node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name) or node.id not in self.names:
+            return ""
+        return ".".join([self.names[node.id]] + parts[::-1])
+
+    def visit_Call(self, node):
+        name = self._dotted(node.func)
+        if ((name.startswith("scipy.sparse.") and not name.startswith(self.OTHER))
+                or getattr(node.func, "attr", None) in self.CONVERSIONS):
+            self.sites.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_sparse_matrices_are_built_in_two_places():
+    # one CSR builder for the graph, and the Laplacian built from it
+    sites = []
+    for path in sorted(Path(proximity_graph.__file__).parent.glob("*.py")):
+        visitor = _SparseBuildSites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+    assert sorted(sites) == [("cut_solvers", "fiedler_vector"),
+                             ("proximity_graph", "ProximityGraph.adjacency")]
