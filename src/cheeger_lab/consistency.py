@@ -26,8 +26,7 @@ from scipy.spatial import cKDTree
 from .errors import (BandwidthTooSmall, ConfigError, InfeasibleMass,
                      InsufficientData)
 from .manifold import Circle, PointCloud, _wrap
-from .nonlocal_tv import (CHECK_C, ContinuumFunction, SmoothingKernel, smooth,
-                          surface_tension)
+from .nonlocal_tv import CHECK_C, ContinuumFunction, smooth, surface_tension
 from .proximity_graph import build_graph, gtv
 from .quadrature import QuadratureGrid
 
@@ -112,12 +111,11 @@ def circle_transport_delta(cloud: PointCloud) -> float:
 # Interpolation operator
 # ---------------------------------------------------------------------------
 
-def interpolate(u, surrogate: TransportSurrogate,
-                kernel: SmoothingKernel) -> ContinuumFunction:
-    """Kernel-smoothed pullback of a vertex function along the transport."""
-    if kernel.a < 2.0 * surrogate.sup_displacement:
+def interpolate(u, surrogate: TransportSurrogate, a) -> ContinuumFunction:
+    """Pullback of a vertex function along the transport, smoothed by Lambda_a."""
+    if a < 2.0 * surrogate.sup_displacement:
         raise BandwidthTooSmall(
-            f"bandwidth {kernel.a:.4g} below twice the covering radius "
+            f"bandwidth {a:.4g} below twice the covering radius "
             f"{surrogate.sup_displacement:.4g}")
     if surrogate.grid is None:
         raise ValueError("interpolation requires a quadrature-grid surrogate")
@@ -130,21 +128,17 @@ def interpolate(u, surrogate: TransportSurrogate,
 
     bound = float(np.abs(u).max()) if u.size else 0.0
     fpb = ContinuumFunction(evaluator=pullback_eval, bound=bound)
-    return smooth(fpb, kernel, surrogate.grid)
+    return smooth(fpb, a, surrogate.grid)
 
 
 # ---------------------------------------------------------------------------
 # Fraenkel asymmetry
 # ---------------------------------------------------------------------------
 
-def match_minimizer(f: ContinuumFunction, grid: QuadratureGrid):
-    """(alpha, best parameter of the grid manifold's minimizer family)
-    minimizing the symmetric difference."""
-    return _match_node_values(f(grid.nodes), grid)
-
-
-def _match_node_values(fvals, grid: QuadratureGrid):
-    """``match_minimizer`` for a function given by its values on the grid nodes.
+def match_minimizer(fvals, grid: QuadratureGrid):
+    """(alpha, best parameter of the grid manifold's minimizer family) for a
+    function given by its values on the grid nodes: alpha is the L1 distance
+    to the nearest member.
 
     |f - 1_E| = |f| + 1_E (|f - 1| - |f|), so the family member E that is
     nearest to f is the one with the least sum of ``gain`` over its nodes.
@@ -338,7 +332,7 @@ def cut_l1_error(cut, cloud: PointCloud, grid: QuadratureGrid) -> CutError:
     u[np.asarray(cut.subset, dtype=int)] = 1.0
     sur = transport_assign(cloud, grid)
     # match directly on the node values; the family covers complements
-    alpha, param = _match_node_values(u[sur.assignment], grid)
+    alpha, param = match_minimizer(u[sur.assignment], grid)
     disc = float(np.mean(u != grid.manifold.minimizer(param).indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
     return CutError(l1_error=float(alpha), matched_param=param,

@@ -76,19 +76,28 @@ def constant_function(c) -> ContinuumFunction:
 # Smoothing kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SmoothingKernel:
-    """Compactly supported bump profile phi on [0,1) with bandwidth a."""
-    a: float
+def bump(t):
+    """The smoothing kernel's profile: the unnormalized bump exp(-1/(1-t^2))
+    for |t| < 1, else 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    ts = t[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ts * ts))
+    return out
 
-    def profile(self, t):
-        """Unnormalized bump exp(-1/(1-t^2)) for t < 1, else 0."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        inside = np.abs(t) < 1.0
-        ts = t[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ts * ts))
-        return out
+
+def _check_scale(label, scale, grid: QuadratureGrid):
+    """Refuse a scale that is not positive and finite, exceeds ``h_max`` or
+    spans fewer than four grid spacings; ``label`` ends in its symbol."""
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"{label}={scale} must be positive and finite")
+    if scale > grid.manifold.h_max:
+        raise ValueError(f"{label}={scale} exceeds the admissible scale "
+                         f"{grid.manifold.h_max}")
+    if grid.spacing > scale / 4.0 + 1e-12:
+        raise ResolutionTooCoarse(f"grid spacing {grid.spacing:.4g} coarser than "
+                                  f"{label[-1]}/4 = {scale / 4:.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +106,11 @@ class SmoothingKernel:
 
 def tv_nonlocal(f: ContinuumFunction, h, grid: QuadratureGrid) -> float:
     """TV_h(f) by quadrature over geodesically h-close pairs."""
-    mf = grid.manifold
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"h={h} must be positive and finite")
-    if h > mf.h_max:
-        raise ValueError(f"h={h} exceeds the admissible scale {mf.h_max}")
-    if grid.spacing > h / 4.0 + 1e-12:
-        raise ResolutionTooCoarse(
-            f"grid spacing {grid.spacing:.4g} coarser than h/4 = {h / 4:.4g}")
+    _check_scale("h", h, grid)
     if grid.lattice_shape:
         return _tvh_lattice(f(grid.nodes).reshape(grid.lattice_shape), h)
     if f.zonal_axis is not None:
-        return _tvh_sphere_zonal(f, h, mf)
+        return _tvh_sphere_zonal(f, h, grid.manifold)
     return _tvh_sphere_pairs(f(grid.nodes), h, grid)
 
 
@@ -277,18 +279,10 @@ def gradient_norm_fd(f: ContinuumFunction, grid: QuadratureGrid):
 # Smoothing operator
 # ---------------------------------------------------------------------------
 
-def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
-           grid: QuadratureGrid) -> ContinuumFunction:
-    """Normalized geodesic kernel average Lambda_a f, by shared quadrature."""
-    a = kernel.a
+def smooth(f: ContinuumFunction, a, grid: QuadratureGrid) -> ContinuumFunction:
+    """Normalized geodesic ``bump`` average Lambda_a f, by shared quadrature."""
+    _check_scale("bandwidth a", a, grid)
     mf = grid.manifold
-    if not 0.0 < a < np.inf:
-        raise ValueError(f"bandwidth a={a} must be positive and finite")
-    if a > mf.h_max:
-        raise ValueError(f"bandwidth a={a} exceeds the admissible scale")
-    if grid.spacing > a / 4.0 + 1e-12:
-        raise ResolutionTooCoarse(
-            f"grid spacing {grid.spacing:.4g} coarser than a/4 = {a / 4:.4g}")
     node_vals = f(grid.nodes)
     node_coords, box = mf.tree_coords(grid.nodes)
     node_tree = cKDTree(node_coords, boxsize=box)
@@ -311,7 +305,7 @@ def smooth(f: ContinuumFunction, kernel: SmoothingKernel,
             pairs = qt.sparse_distance_matrix(node_tree, reach, output_type="ndarray")
             rows, cols = pairs["i"], pairs["j"]
             dgeo = mf.tree_geodesic(pairs["v"])
-            phi = kernel.profile(dgeo / a)
+            phi = bump(dgeo / a)
             wphi = weights[cols] * phi
             num = np.bincount(rows, weights=wphi * node_vals[cols], minlength=stop - start)
             den = np.bincount(rows, weights=wphi, minlength=stop - start)
@@ -398,7 +392,7 @@ def check_smoothing_chain(manifold, ref, h, a,
     f = indicator_function(ref)
     grid = grid_for_scale(manifold, min(h, a), grid_factor)
     tvh = tv_nonlocal(f, h, grid)
-    lam = smooth(f, SmoothingKernel(a=a), grid)
+    lam = smooth(f, a, grid)
     grad = gradient_norm_fd(lam, grid)
     tv_sm = float(np.dot(grid.weights, grad))
     sup = f.bound  # 1, the bound of an indicator
@@ -423,8 +417,6 @@ def cheeger_functional_form(f: ContinuumFunction, grid: QuadratureGrid) -> float
     quadrature L1 distance to a constant is least.
     """
     vals = f(grid.nodes)
-    if np.any(vals < -1e-9) or np.any(vals > 1.0 + 1e-9):
-        raise ValueError("functional form requires f in [0, 1]")
     if vals.max() - vals.min() < 1e-12:
         raise DegenerateFunction("function is essentially constant")
     order = np.argsort(vals, kind="stable")

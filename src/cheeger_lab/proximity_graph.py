@@ -14,8 +14,10 @@ computed by ``cheeger_ratio``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,24 +89,25 @@ class ProximityGraph:
         meta = read_sidecar(path, ("n", "epsilon", "m"))
         n, eps, m = meta["n"], meta["epsilon"], meta["m"]
         # the checks of build_graph, plus those of the cloud and the edge list
-        for key, value in (("n", n), ("m", m)):
-            if not (is_int(value) and value > 0):
-                raise ValueError(f"{path}: {key} must be a positive integer, "
-                                 f"got {value!r}")
-        if not (isinstance(eps, (int, float)) and not isinstance(eps, bool)
-                and math.isfinite(eps) and eps > 0):
-            raise ValueError(f"{path}: epsilon must be a positive finite number, "
-                             f"got {eps!r}")
+        if not (is_int(n) and n > 0):
+            raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
+        _check_parameters(eps, m, cloud, where=f"{path}: ")
         if cloud is not None and cloud.points.shape[0] != n:
             raise ValueError(f"{path}: the cloud has {cloud.points.shape[0]} "
                              f"points, the graph n = {n}")
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, dtype=int, ndmin=2)
+        rows = path.read_text().partition("\n")[2]  # below the header
+        # loadtxt warns on no rows, which `save` writes for a graph without edges
+        raw = (np.loadtxt(io.StringIO(rows), delimiter=",", dtype=int, ndmin=2)
+               if rows.strip() else np.empty((0, 2), dtype=int))
+        if raw.shape[1] != 2:
+            raise ValueError(f"{path}: rows of {raw.shape[1]} values, not pairs i,j")
+        pairs = np.sort(raw, axis=1)
+        # `adjacency` builds its CSR without checking the indices
+        if len(pairs) and (pairs[:, 0].min() < 0 or pairs[:, 1].max() >= n):
+            raise ValueError(f"{path}: edge index outside 0..{n - 1}")
         # i < j and each pair once, as `adjacency`, `gtv` and the cut counts
         # take each row for one undirected edge
-        edges = np.unique(np.sort(raw.reshape(-1, 2), axis=1), axis=0)
-        # `adjacency` builds its CSR without checking the indices
-        if len(edges) and (edges[0, 0] < 0 or edges[:, 1].max() >= n):
-            raise ValueError(f"{path}: edge index outside 0..{n - 1}")
+        edges = _key_sorted(pairs, n)
         # a loop would count once in the degree but twice in the adjacency
         loops = edges[edges[:, 0] == edges[:, 1], 0]
         if len(loops):
@@ -128,14 +131,25 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
             points = points[:, None]
         if m is None:
             raise ValueError("m required when building from a raw point array")
-    if isinstance(epsilon, (bool, np.bool_)) or not (math.isfinite(epsilon)
-                                                       and epsilon > 0):
-        raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
-    if not (is_int(m) and m > 0):
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_parameters(epsilon, m, cloud)
     edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
                           edges=edges, cloud=cloud)
+
+
+def _check_parameters(epsilon, m, cloud=None, where=""):
+    """Refuse an epsilon that is not a positive finite number (a bool
+    included), an m that is not a positive integer, and an m other than the
+    dimension of the cloud's manifold; ``where`` starts each message."""
+    if not (isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+            and math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"{where}epsilon must be a positive finite number, "
+                         f"got {epsilon!r}")
+    if not (is_int(m) and m > 0):
+        raise ValueError(f"{where}m must be a positive integer, got {m!r}")
+    if cloud is not None and m != cloud.manifold.m:
+        raise ValueError(f"{where}m = {m}, but the cloud's manifold "
+                         f"{cloud.manifold.name} has m = {cloud.manifold.m}")
 
 
 def _edges_kdtree(points, eps):
@@ -161,9 +175,8 @@ def _edge_keys(rows, cols, n, out=None):
 
 
 def _key_sorted(edges, n):
-    """The edge rows in lexicographic order, from one sort of their keys."""
-    key = _edge_keys(edges[:, 0], edges[:, 1], n)
-    key.sort()
+    """The distinct edge rows in lexicographic order, from one np.unique of their keys."""
+    key = np.unique(_edge_keys(edges[:, 0], edges[:, 1], n))
     out = np.empty((len(key), 2), dtype=np.int64)
     np.divmod(key, n, out=(out[:, 0], out[:, 1]))
     return out
@@ -186,8 +199,6 @@ def gtv(graph: ProximityGraph, u) -> float:
         raise ValueError(f"vertex function must be 1-D, got shape {u.shape}")
     if u.shape[0] != graph.n:
         raise ValueError("vertex function length mismatch")
-    if not len(graph.edges):
-        return 0.0
     diff = u[graph.edges[:, 0]] - u[graph.edges[:, 1]]
     # for an indicator only the cut edges remain; factor 2 for the ordered sum
     terms = np.abs(diff[diff != 0])
@@ -197,14 +208,7 @@ def gtv(graph: ProximityGraph, u) -> float:
 def cut_size(graph: ProximityGraph, subset) -> int:
     """Raw Cut(E_n): number of edges with exactly one endpoint in subset."""
     mask = _as_mask(graph.n, subset)
-    if not len(graph.edges):
-        return 0
     return int(np.count_nonzero(mask[graph.edges[:, 0]] ^ mask[graph.edges[:, 1]]))
-
-
-def _balance(size, n):
-    """min(|A|, n - |A|) / n, elementwise."""
-    return np.minimum(size, n - size) / n
 
 
 def cheeger_ratio(cut, size, n, rescale):
@@ -223,7 +227,8 @@ def cut_and_balance(graph: ProximityGraph, subset):
     """(GTV of the subset indicator, min(|A|, n - |A|) / n)."""
     mask = _as_mask(graph.n, subset)
     g = 2.0 * graph.rescale * cut_size(graph, mask)
-    return g, float(_balance(int(mask.sum()), graph.n))
+    size = int(mask.sum())
+    return g, min(size, graph.n - size) / graph.n
 
 
 def objective(graph: ProximityGraph, subset) -> float:

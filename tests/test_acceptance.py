@@ -20,7 +20,7 @@ from cheeger_lab.consistency import (cut_l1_error, fit_rate, fix_mass,
 from cheeger_lab.cut_solvers import solve_exact, solve_pipeline
 from cheeger_lab.harness import run_experiment, validate_config
 from cheeger_lab.manifold import CircleArc, SphereCap, TorusStrip, get_manifold
-from cheeger_lab.nonlocal_tv import (ContinuumFunction, SmoothingKernel,
+from cheeger_lab.nonlocal_tv import (ContinuumFunction,
                                      cheeger_functional_form,
                                      check_monotonicity, constant_function,
                                      gradient_norm_fd, indicator_function,
@@ -226,24 +226,23 @@ def test_criterion_05_nonlocal_calculus():
     notes.append(f"TV_a/TV_h <= 10: {mono_ok}")
     # functional Cheeger form >= C_M - 0.02 for every tested f in [0, 1]
     func_ok = True
-    kern = SmoothingKernel(a=0.05)
     gc = build_grid(CIRCLE, 1000)
     gt = build_grid(TORUS, 96)
     gs = build_grid(SPHERE, 4000)
     circle_fs = [indicator_function(CircleArc(CIRCLE, center=c)) for c in (0.0, 0.37)]
-    circle_fs.append(smooth(circle_fs[0], kern, gc))
+    circle_fs.append(smooth(circle_fs[0], 0.05, gc))
     circle_fs.append(ContinuumFunction(
         evaluator=lambda p: 0.5 * (1 + np.sin(2 * np.pi * CIRCLE.to_intrinsic(p))),
         tv_exact=2.0, bound=1.0))
     torus_fs = [indicator_function(TorusStrip(TORUS, axis=ax, offset=off))
                 for ax, off in ((0, 0.0), (1, 0.3))]
-    torus_fs.append(smooth(torus_fs[0], SmoothingKernel(a=0.05), gt))
+    torus_fs.append(smooth(torus_fs[0], 0.05, gt))
     torus_fs.append(ContinuumFunction(
         evaluator=lambda p: 0.5 * (1 + np.sin(2 * np.pi * TORUS.to_intrinsic(p)[..., 0])),
         tv_exact=2.0, bound=1.0))
     sphere_fs = [indicator_function(SphereCap(SPHERE, pole=pp))
                  for pp in ([0, 0, 1], [1.0, 1.0, 0.0])]
-    sphere_fs.append(smooth(sphere_fs[0], SmoothingKernel(a=0.05),
+    sphere_fs.append(smooth(sphere_fs[0], 0.05,
                             grid_for_scale(SPHERE, 0.05, 4)))
     sphere_fs.append(ContinuumFunction(
         evaluator=lambda p: 0.5 * (1 + SPHERE.to_intrinsic(p)[..., 2]),
@@ -272,10 +271,9 @@ def test_criterion_06_smoothing_operator():
         f = indicator_function(ref)
         for a in (0.02, 0.05):
             grid = grid_for_scale(mf, a, 4)
-            kern = SmoothingKernel(a=a)
-            const = smooth(constant_function(0.37), kern, grid)(grid.nodes)
+            const = smooth(constant_function(0.37), a, grid)(grid.nodes)
             const_ok = bool(np.allclose(const, 0.37, atol=1e-12))
-            lam = smooth(f, kern, grid)
+            lam = smooth(f, a, grid)
             vals = lam(grid.nodes)
             range_ok = vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
             tvh = tv_nonlocal(f, a, grid)

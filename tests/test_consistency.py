@@ -16,8 +16,8 @@ from cheeger_lab.errors import (BandwidthTooSmall, ConfigError,
                                 InfeasibleMass, InsufficientData)
 from cheeger_lab.manifold import (CircleArc, PointCloud, SphereCap,
                                   TorusStrip, _wrap_dist, get_manifold)
-from cheeger_lab.nonlocal_tv import (ContinuumFunction, SmoothingKernel,
-                                     constant_function, indicator_function)
+from cheeger_lab.nonlocal_tv import (ContinuumFunction, constant_function,
+                                     indicator_function)
 from cheeger_lab.proximity_graph import build_graph
 from cheeger_lab.quadrature import build_grid
 from cheeger_lab.cut_solvers import CutResult, solve_exact
@@ -186,17 +186,17 @@ def test_interpolate_constant_range_monotone():
     cloud = CIRCLE.sample(600, seed=2)
     grid = build_grid(CIRCLE, 400)
     sur = transport_assign(cloud, grid)
-    k = SmoothingKernel(a=0.06)
-    const = interpolate(np.full(600, 0.4), sur, k)
+    a = 0.06
+    const = interpolate(np.full(600, 0.4), sur, a)
     assert np.allclose(const(grid.nodes), 0.4, atol=1e-12)
     rng = np.random.default_rng(0)
     u = rng.random(600)
     v = u + rng.random(600) * 0.5
-    iu, iv = interpolate(u, sur, k)(grid.nodes), interpolate(v, sur, k)(grid.nodes)
+    iu, iv = interpolate(u, sur, a)(grid.nodes), interpolate(v, sur, a)(grid.nodes)
     assert np.all(iu <= iv + 1e-12)
     assert iu.min() >= 0 and iu.max() <= 1 + 1e-12
     with pytest.raises(BandwidthTooSmall):
-        interpolate(u, sur, SmoothingKernel(a=sur.sup_displacement))
+        interpolate(u, sur, sur.sup_displacement)
 
 
 def test_interpolate_indicator_l1_bound():
@@ -206,7 +206,7 @@ def test_interpolate_indicator_l1_bound():
     a = 0.05
     arc = CircleArc(CIRCLE, center=0.25)
     u = arc.indicator(cloud.points)
-    lam = interpolate(u, sur, SmoothingKernel(a=a))
+    lam = interpolate(u, sur, a)
     l1 = grid.integrate(np.abs(lam(grid.nodes) - arc.indicator(grid.nodes)))
     assert l1 <= 2 * a + 2 * sur.sup_displacement
 
@@ -214,14 +214,14 @@ def test_interpolate_indicator_l1_bound():
 def test_fraenkel_family_member_is_zero():
     grid = build_grid(CIRCLE, 800)
     f = indicator_function(CircleArc(CIRCLE, center=0.37))
-    assert match_minimizer(f, grid)[0] <= 2 * grid.spacing
+    assert match_minimizer(f(grid.nodes), grid)[0] <= 2 * grid.spacing
 
 
 def test_fraenkel_two_arcs_is_half():
     grid = build_grid(CIRCLE, 800)
     f = ContinuumFunction(
         evaluator=lambda p: ((CIRCLE.to_intrinsic(p) % 0.5) < 0.25).astype(float))
-    assert match_minimizer(f, grid)[0] == pytest.approx(0.5, abs=1e-2)
+    assert match_minimizer(f(grid.nodes), grid)[0] == pytest.approx(0.5, abs=1e-2)
 
 
 @pytest.mark.parametrize("name,N", [("circle", 40), ("circle", 41),
@@ -242,8 +242,7 @@ def test_fraenkel_min_property(name, N):
     rng = np.random.default_rng(N)
     for fvals in (rng.integers(0, 2, grid.size).astype(float),
                   rng.uniform(-0.5, 1.5, grid.size)):
-        f = ContinuumFunction(evaluator=lambda p, v=fvals: v)  # read on grid.nodes only
-        alpha, param = match_minimizer(f, grid)
+        alpha, param = match_minimizer(fvals, grid)
         assert alpha == pytest.approx(min(explicit(fvals, p) for p in params), abs=1e-12)
         assert alpha == pytest.approx(explicit(fvals, param), abs=1e-12)
 
@@ -251,12 +250,12 @@ def test_fraenkel_min_property(name, N):
 def test_fraenkel_torus_and_sphere():
     gt = build_grid(TORUS, 64)
     f = indicator_function(TorusStrip(TORUS, axis=1, offset=0.61))
-    a, (axis, off) = match_minimizer(f, gt)
+    a, (axis, off) = match_minimizer(f(gt.nodes), gt)
     assert a <= 2 * gt.spacing and axis == 1
     gs = build_grid(SPHERE, 2500)
     pole = np.array([1.0, 2.0, -0.5])
     f = indicator_function(SphereCap(SPHERE, pole=pole))
-    a, p = match_minimizer(f, gs)
+    a, p = match_minimizer(f(gs.nodes), gs)
     assert a <= 0.01
     assert np.dot(p, pole / np.linalg.norm(pole)) > 0.999
 

@@ -11,8 +11,8 @@ from cheeger_lab.errors import (DegenerateFunction, ResolutionTooCoarse,
                                 UnsupportedDimension)
 from cheeger_lab.manifold import (CircleArc, SphereCap, TorusStrip, _wrap_dist,
                                   get_manifold)
-from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction,
-                                     SmoothingKernel, cheeger_functional_form,
+from cheeger_lab.nonlocal_tv import (CheckReport, ContinuumFunction, bump,
+                                     cheeger_functional_form,
                                      check_bias_inequality, check_monotonicity,
                                      check_smoothing_chain, constant_function,
                                      gradient_norm_fd, indicator_function,
@@ -128,7 +128,7 @@ def test_scales_must_be_positive_and_finite(name, scale):
     with pytest.raises(ValueError, match=rf"^h={scale} must be positive and finite"):
         tv_nonlocal(f, scale, g)
     with pytest.raises(ValueError, match=rf"^bandwidth a={scale} must be positive and finite"):
-        smooth(f, SmoothingKernel(a=scale), g)
+        smooth(f, scale, g)
 
 
 def test_tvh_layer_cake_three_levels():
@@ -170,11 +170,11 @@ def test_tv_local_smooth_torus_and_sphere():
 
 def test_smooth_preserves_constants_and_range():
     g = build_grid(CIRCLE, 400)
-    k = SmoothingKernel(a=0.05)
-    out = smooth(constant_function(0.37), k, g)
+    a = 0.05
+    out = smooth(constant_function(0.37), a, g)
     assert np.allclose(out(g.nodes), 0.37, atol=1e-13)
     arc = CircleArc(CIRCLE, center=0.25)
-    lam = smooth(indicator_function(arc), k, g)
+    lam = smooth(indicator_function(arc), a, g)
     vals = lam(g.nodes)
     assert vals.min() >= -1e-12 and vals.max() <= 1 + 1e-12
     # support geometry: 1 at the midpoint, 0 at the antipode, mixed near edges
@@ -191,7 +191,7 @@ def test_smooth_l1_distance_bound():
     a = 0.05
     arc = CircleArc(CIRCLE, center=0.25)
     f = indicator_function(arc)
-    lam = smooth(f, SmoothingKernel(a=a), g)
+    lam = smooth(f, a, g)
     l1 = g.integrate(np.abs(lam(g.nodes) - f(g.nodes)))
     assert l1 <= 2 * a
 
@@ -199,13 +199,12 @@ def test_smooth_l1_distance_bound():
 def test_smooth_resolution_guard():
     g = build_grid(CIRCLE, 40)
     with pytest.raises(ResolutionTooCoarse):
-        smooth(constant_function(1.0), SmoothingKernel(a=0.05), g)
+        smooth(constant_function(1.0), 0.05, g)
 
 
 @pytest.mark.parametrize("mf", [CIRCLE, TORUS, SPHERE], ids=lambda mf: mf.name)
 def test_smooth_of_an_empty_point_set_is_empty(mf):
-    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.1),
-                 grid_for_scale(mf, 0.1))
+    lam = smooth(constant_function(1.0), 0.1, grid_for_scale(mf, 0.1))
     out = lam(np.empty((0, mf.d)))
     assert out.shape == (0,) and out.dtype == float
 
@@ -262,10 +261,12 @@ def test_cheeger_functional_form():
         tv_exact=2.0)
     val = cheeger_functional_form(f, g)
     assert val >= 4.0 - 1e-9
-    with pytest.raises(DegenerateFunction):
-        cheeger_functional_form(constant_function(0.3), g)
-    with pytest.raises(ValueError, match="requires f in"):
-        cheeger_functional_form(constant_function(2.0), g)
+    # defined outside [0, 1] too: 2 f has twice the TV and the L1 distance
+    doubled = ContinuumFunction(evaluator=lambda p: 2.0 * arc(p), tv_exact=4.0)
+    assert cheeger_functional_form(doubled, g) == pytest.approx(4.0, abs=1e-6)
+    for c in (0.3, 2.0):
+        with pytest.raises(DegenerateFunction):
+            cheeger_functional_form(constant_function(c), g)
 
 
 def test_functional_form_denominator_is_the_least_l1_distance():
@@ -304,8 +305,7 @@ def test_functional_form_denominator_is_the_least_l1_distance():
 def test_gradient_bound_of_smoothed_indicator():
     g = build_grid(CIRCLE, 800)
     a = 0.05
-    lam = smooth(indicator_function(CircleArc(CIRCLE, center=0.25)),
-                 SmoothingKernel(a=a), g)
+    lam = smooth(indicator_function(CircleArc(CIRCLE, center=0.25)), a, g)
     assert gradient_norm_fd(lam, g).max() <= 10.0 / a
 
 
@@ -379,7 +379,7 @@ def test_pair_sums_stay_within_a_cache_budget():
     cap = indicator_function(SphereCap(SPHERE, pole=[0.3, -0.2, 0.9]))
     assert _zonal_traced(cap, 0.25)[1] < 16 * 2 ** 20
     g = grid_for_scale(SPHERE, 0.1, 4)
-    lam = smooth(cap, SmoothingKernel(a=0.2), g)
+    lam = smooth(cap, 0.2, g)
     tracemalloc.start()
     try:
         lam(g.nodes)
@@ -467,10 +467,9 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     f = indicator_function(mf.default_minimizer())
     a = 0.1
     g = grid_for_scale(mf, a, 4)
-    kern = SmoothingKernel(a=a)
     pts = np.concatenate([mf.sample(1001, seed=3).points, g.nodes])
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1e15)
-    whole = smooth(f, kern, g)(pts)
+    whole = smooth(f, a, g)(pts)
     trees = []
 
     def counting_tree(data, **kwargs):
@@ -480,7 +479,7 @@ def test_smooth_blocks_change_nothing(monkeypatch, name):
     # about 50 points a block; 1001 + g.size is no multiple of 49 or 50
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
     monkeypatch.setattr(nonlocal_tv, "cKDTree", counting_tree)
-    blocked = smooth(f, kern, g)(pts)
+    blocked = smooth(f, a, g)(pts)
     # the node tree, the tree that orders the points, then one per block
     assert trees[1] == len(pts)
     block = trees[2]
@@ -495,10 +494,9 @@ def test_smooth_blocks_are_compact_in_any_point_order(monkeypatch, name):
     f = indicator_function(mf.default_minimizer())
     a = 0.1
     g = grid_for_scale(mf, a, 4)
-    kern = SmoothingKernel(a=a)
     pts = np.concatenate([mf.sample(1001, seed=3).points, g.nodes])
     perm = np.random.default_rng(4).permutation(len(pts))
-    in_order = smooth(f, kern, g)(pts)
+    in_order = smooth(f, a, g)(pts)
     trees = []
 
     def recording_tree(data, **kwargs):
@@ -508,7 +506,7 @@ def test_smooth_blocks_are_compact_in_any_point_order(monkeypatch, name):
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 50 * g.size * mf.ball_volume(a))
     monkeypatch.setattr(nonlocal_tv, "cKDTree", recording_tree)
     shuffled = np.empty(len(pts))
-    shuffled[perm] = smooth(f, kern, g)(pts[perm])
+    shuffled[perm] = smooth(f, a, g)(pts[perm])
     assert np.allclose(shuffled, in_order, rtol=1e-13, atol=0)
     # after the node tree and the ordering tree, each block spans a small
     # part of the manifold: its coordinate extent is far below the cloud's
@@ -540,16 +538,15 @@ def test_smooth_matches_a_dense_geodesic_sum(name):
     mf = get_manifold(name)
     a = 0.1
     g = grid_for_scale(mf, a, 4)
-    kern = SmoothingKernel(a=a)
     f = ContinuumFunction(evaluator=lambda p: 2.0 + np.cos(20.0 * p[:, 0]) * p[:, 1])
     pts = _oracle_points(mf, g)
     y = mf.to_intrinsic(g.nodes)[None, ...]
     dense = []
     for chunk in np.array_split(mf.to_intrinsic(pts), len(pts) // 64):
-        wphi = g.weights * kern.profile(mf.intrinsic_distance(chunk[:, None, ...], y) / a)
+        wphi = g.weights * bump(mf.intrinsic_distance(chunk[:, None, ...], y) / a)
         dense.append(wphi @ f(g.nodes) / wphi.sum(axis=1))
     dense = np.concatenate(dense)
-    assert np.allclose(smooth(f, kern, g)(pts), dense, rtol=1e-12, atol=0)
+    assert np.allclose(smooth(f, a, g)(pts), dense, rtol=1e-12, atol=0)
 
 
 def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
@@ -557,7 +554,7 @@ def test_smooth_empty_support_guard_fires_in_any_block(monkeypatch):
     # a = 0.01; the stated spacing is a lie, so only the evaluator can tell
     g = dataclasses.replace(build_grid(CIRCLE, 40), spacing=0.0)
     monkeypatch.setattr(nonlocal_tv, "_BLOCK_PAIRS", 1.0)
-    lam = smooth(constant_function(1.0), SmoothingKernel(a=0.01), g)
+    lam = smooth(constant_function(1.0), 0.01, g)
     pts = np.concatenate([g.nodes[:7], CIRCLE.to_ambient(np.array([0.05]))])
     with pytest.raises(ResolutionTooCoarse, match="empty kernel support"):
         lam(pts)
@@ -580,7 +577,7 @@ def test_smoothing_chain_takes_one_gradient(monkeypatch, name, h, a):
     rep = check_smoothing_chain(mf, ref, h, a, grid_factor=4)
     assert len(calls) == 1
     g = grid_for_scale(mf, h, 4)
-    lam = smooth(indicator_function(ref), SmoothingKernel(a=a), g)
+    lam = smooth(indicator_function(ref), a, g)
     grad = gradient_norm_fd(lam, g)
     assert rep.entries[0]["sigma_tv_smooth"] == surface_tension(mf.m) * float(
         np.dot(g.weights, grad))

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -351,12 +352,37 @@ def test_save_writes_the_key_sorted_pairs_as_crlf_rows(tmp_path):
 
 def test_load_puts_edges_in_adjacency_order(tmp_path):
     path = tmp_path / "graph.csv"
-    path.write_text("i,j\n3,1\n0,2\n2,3\n0,1\n")
     (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
-    g = ProximityGraph.load(path)
-    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
-    assert g.adjacency.toarray().tolist() == [[0, 1, 1, 0], [1, 0, 0, 1],
-                                             [1, 0, 0, 1], [0, 1, 1, 0]]
+    # the second file repeats the row 0,2 and holds its reversed twin 2,0
+    for rows in ("3,1\n0,2\n2,3\n0,1\n", "3,1\n0,2\n2,3\n0,2\n2,0\n0,1\n"):
+        path.write_text("i,j\n" + rows)
+        g = ProximityGraph.load(path)
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert g.adjacency.toarray().tolist() == [[0, 1, 1, 0], [1, 0, 0, 1],
+                                                 [1, 0, 0, 1], [0, 1, 1, 0]]
+
+
+def test_load_refuses_rows_that_are_not_pairs(tmp_path):
+    # read as pairs, the six numbers made the edges (0, 1) and (2, 3)
+    path = tmp_path / "graph.csv"
+    path.write_text("i,j,k\n0,1,2\n3,0,1\n")
+    (tmp_path / "graph.csv.json").write_text('{"n": 4, "epsilon": 0.5, "m": 1}')
+    with pytest.raises(ValueError, match="rows of 3 values, not pairs i,j"):
+        ProximityGraph.load(path)
+    assert cli.main(["solve", "--graph", str(path)]) == 3
+
+
+@pytest.mark.parametrize("rows", ["", "\n\n"], ids=["no_rows", "blank_rows"])
+def test_an_edgeless_graph_file_loads_without_a_warning(tmp_path, rows):
+    path = tmp_path / "graph.csv"
+    build_graph(np.arange(3.0)[:, None], 0.5, m=1).save(path)
+    assert path.read_text() == "i,j\n"
+    path.write_text("i,j\n" + rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = ProximityGraph.load(path)
+    assert g.edges.shape == (0, 2) and g.n == 3
+    assert gtv(g, np.arange(3.0)) == 0.0 and cut_size(g, [0]) == 0
 
 
 @pytest.mark.parametrize("rows", ["1,7", "7,1", "-1,2", "0,4"])
@@ -431,6 +457,52 @@ def test_load_rejects_a_cloud_of_another_size(tmp_path):
     cloud.save(tmp_path / "cloud.csv")
     assert cli.main(["solve", "--graph", str(path),
                      "--cloud", str(tmp_path / "cloud.csv")]) == 3
+
+
+def test_load_refuses_a_cloud_of_another_dimension(tmp_path):
+    # a circle graph (m = 1) loaded with a sphere cloud of the same size
+    path = tmp_path / "graph.csv"
+    build_graph(get_manifold("circle").sample(50, seed=1), 0.2).save(path)
+    sphere = get_manifold("sphere_2").sample(50, seed=1)
+    with pytest.raises(ValueError, match="m = 1, but the cloud's manifold "
+                                         "sphere_2 has m = 2"):
+        ProximityGraph.load(path, cloud=sphere)
+    sphere.save(tmp_path / "cloud.csv")
+    assert cli.main(["solve", "--graph", str(path),
+                     "--cloud", str(tmp_path / "cloud.csv")]) == 3
+
+
+def test_build_graph_refuses_an_m_other_than_the_cloud_s():
+    # m = 2 rescaled a circle graph by 1/(n^2 eps^3) instead of 1/(n^2 eps^2)
+    cloud = get_manifold("circle").sample(50, seed=1)
+    with pytest.raises(ValueError, match="m = 2, but the cloud's manifold "
+                                         "circle has m = 1"):
+        build_graph(cloud, 0.3, m=2)
+    assert build_graph(cloud, 0.3, m=1).rescale == build_graph(cloud, 0.3).rescale
+
+
+# every epsilon and m that build_graph or load refused before they shared a
+# check, but m = None, which build_graph reads as the cloud's m
+BAD_EPSILON = [0, 0.0, -0.1, float("inf"), float("nan"), "0.2", None, True, np.True_]
+BAD_M = [0, -1, 1.5, 1.7, "1", True, 2.0]
+
+
+@pytest.mark.parametrize("key,value", [("epsilon", v) for v in BAD_EPSILON]
+                         + [("m", v) for v in BAD_M])
+def test_build_graph_and_load_refuse_the_same_epsilon_and_m(tmp_path, monkeypatch,
+                                                            key, value):
+    cloud = get_manifold("circle").sample(30, seed=2)
+    params = {"epsilon": 0.2, "m": 1, key: value}
+    with pytest.raises(ValueError) as built:
+        build_graph(cloud, params["epsilon"], m=params["m"])
+    path = tmp_path / "graph.csv"
+    build_graph(cloud, 0.2).save(path)
+    # the sidecar as read, with values such as np.True_ that JSON cannot hold
+    monkeypatch.setattr(proximity_graph, "read_sidecar",
+                        lambda path, keys: dict(params, n=30))
+    with pytest.raises(ValueError) as loaded:
+        ProximityGraph.load(path, cloud=cloud)
+    assert str(loaded.value) == f"{path}: {built.value}"
 
 
 def test_raw_points_require_dimension():
