@@ -31,16 +31,16 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import proximity_graph
 from .errors import EigenNotConverged, SizeLimitExceeded, WrongManifold
 from .manifold import Circle, _wrap
-from .proximity_graph import (ProximityGraph, _as_mask, cheeger_ratio,
-                              cut_and_balance, objective)
+from .proximity_graph import (ProximityGraph, _as_mask, _edge_blocks,
+                              cheeger_ratio, cut_and_balance, objective)
 
 EXACT_LIMIT = 24
 LOBPCG_TOL = 1e-8
 LOBPCG_MAXITER = 10_000
 LOCAL_SEARCH_PASSES = 10
-ARC_BLOCK = 1 << 19  # bytes per block of arc lengths in the arc sweep, any dtype
 
 # what a solver's cut is guaranteed to be; every solver not named is a heuristic
 CERTIFICATES = {"exact": "GlobalOptimum", "arc_sweep": "FamilyOptimum"}
@@ -136,14 +136,18 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
 
     Every arc of length k has the same balance, and the integer cuts keep
     their order under the positive factor, so each k keeps its least cut
-    (first start on ties) and the best ratio over k wins. Growing the arcs
+    (first start on ties) and the best ratio over k wins. An arc of length
+    n - k is the complement of one of length k, with the same cut and the
+    same balance, and ties go to the shorter length, so only the lengths
+    1..floor(n/2) are swept. Growing the arcs
     that start at s by the vertex u at s + k adds deg(u) minus twice its
     neighbours inside the arc: min(lccw(u), k) behind it plus the forward
     neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). For
     max lccw <= k <= n - 1 - max rcw both terms are fixed, so
     cut_k(s) = base(s) + Q[s + k] with Q the prefix sum of rcw - lccw along
     the doubled order. That middle range is scanned in windows; the lengths
-    below and above it step the recurrence, a block of lengths at a time.
+    below and above it step the recurrence, a block of lengths at a time
+    (``proximity_graph.BLOCK`` elements of 8 bytes, whatever the dtype).
     A cut is at most E, |Q| at most 2E and |base| at most 3E, so the sweep
     counts in int32 while 3E < 2^31 and in int64 beyond.
     """
@@ -159,21 +163,22 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     # directional neighbor-window sizes from the actual adjacency
     lccw = np.zeros(n, dtype=np.int64)  # neighbors among angular predecessors
     rcw = np.zeros(n, dtype=np.int64)   # neighbors among angular successors
-    if len(graph.edges):
-        i, j = graph.edges[:, 0], graph.edges[:, 1]
+    for block in _edge_blocks(graph):
+        i, j = block[:, 0], block[:, 1]
         g = _wrap(t[j] - t[i])
         fwd = (g < 0.5) | ((g == 0.5) & (i < j))
         head = np.where(fwd, j, i)  # the endpoint ahead of the other
-        lccw = np.bincount(head, minlength=n)
-        rcw = np.bincount(i + j - head, minlength=n)
+        lccw += np.bincount(head, minlength=n)
+        rcw += np.bincount(i + j - head, minlength=n)
     # the narrowest of int32 and int64 that holds 3E (see above)
     dtype = np.int32 if 3 * len(graph.edges) < 2 ** 31 else np.int64
     # positions s + k of the doubled angular order need no modulo
     lc = np.tile(lccw[order].astype(dtype), 2)
     rc = np.tile(rcw[order].astype(dtype), 2)
 
-    start = np.empty(n - 1, dtype=np.int64)
-    least = np.empty(n - 1, dtype=dtype)
+    top = n // 2 + 1  # one past the longest length swept
+    start = np.empty(top - 1, dtype=np.int64)
+    least = np.empty(top - 1, dtype=dtype)
 
     def keep(k, block):
         """Least cut and its first start, per row of cuts of length k, k + 1, ..."""
@@ -182,13 +187,13 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
         least[k - 1:k - 1 + len(block)] = block[np.arange(len(block)), s]
 
     mid_lo = max(int(lccw.max()), 1)
-    mid_hi = n - 1 - int(rcw.max())
+    mid_hi = min(n - 1 - int(rcw.max()), top)
     if mid_lo >= mid_hi:
-        mid_lo = n  # no middle range: the recurrence covers every length
+        mid_lo = top  # no middle range: the recurrence covers every length
     lw, rw = sliding_window_view(lc, n), sliding_window_view(rc, n)
-    rows = max(1, ARC_BLOCK // (n * lc.itemsize))
+    rows = max(1, 8 * proximity_graph.BLOCK // (n * lc.itemsize))
     k, cut = 1, lc[:n] + rc[:n]  # arcs of length 1 starting at s
-    while k < n:
+    while k < top:
         if k == mid_lo:
             q = np.zeros(2 * n + 1, dtype=dtype)
             np.cumsum(rc - lc, dtype=dtype, out=q[1:])
@@ -200,7 +205,7 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
             continue
         # step the recurrence over a block of lengths k..hi - 1 and on to hi:
         # extend every arc by the vertex at position s + k
-        hi = min(k + rows, mid_lo if k < mid_lo else n)
+        hi = min(k + rows, mid_lo if k < mid_lo else top)
         lv, rv, kk = lw[k:hi], rw[k:hi], np.arange(k, hi, dtype=dtype)[:, None]
         step = lv + rv - 2 * (np.minimum(lv, kk) + np.maximum(0, kk + rv + 1 - n))
         block = np.empty((hi - k + 1, n), dtype=dtype)
@@ -209,7 +214,7 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
             np.add(block[r], inc, out=block[r + 1])
         keep(k, block[:-1])
         k, cut = hi, block[-1]
-    k = int(np.argmin(cheeger_ratio(least, np.arange(1, n), n, graph.rescale))) + 1
+    k = int(np.argmin(cheeger_ratio(least, np.arange(1, top), n, graph.rescale))) + 1
     subset = order[(start[k - 1] + np.arange(k)) % n]
     return result_from_subset(graph, subset, solver="arc_sweep")
 
@@ -298,11 +303,12 @@ def _best_sweep_k(graph, order):
     n = graph.n
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    ri = rank[graph.edges[:, 0]]
-    rj = rank[graph.edges[:, 1]]
-    lo = np.minimum(ri, rj)
-    hi = np.maximum(ri, rj)
-    diff = np.bincount(lo + 1, minlength=n + 1) - np.bincount(hi + 1, minlength=n + 1)
+    # an edge crosses the prefix cuts of sizes lo + 1 .. hi of its two ranks
+    diff = np.zeros(n + 1, dtype=np.int64)
+    for block in _edge_blocks(graph):
+        ri, rj = rank[block[:, 0]], rank[block[:, 1]]
+        diff += np.bincount(np.minimum(ri, rj) + 1, minlength=n + 1)
+        diff -= np.bincount(np.maximum(ri, rj) + 1, minlength=n + 1)
     cut = np.cumsum(diff)[1:n]  # cut of prefix size k, k = 1..n-1
     vals = cheeger_ratio(cut, np.arange(1, n), n, graph.rescale)
     return int(np.argmin(vals)) + 1
@@ -324,11 +330,13 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
     n = graph.n
     mask = _as_mask(n, start.subset)
     if graph._adj is None:
-        edges = graph.edges
-        deg = np.bincount(edges.ravel(), minlength=n)
-        # a vertex's crossing edges are its neighbours on the other side
-        crossing = edges[mask[edges[:, 0]] != mask[edges[:, 1]]]
-        d_out = np.bincount(crossing.ravel(), minlength=n)
+        deg = np.zeros(n, dtype=np.int64)
+        d_out = np.zeros(n, dtype=np.int64)
+        for block in _edge_blocks(graph):
+            deg += np.bincount(block.ravel(), minlength=n)
+            # a vertex's crossing edges are its neighbours on the other side
+            crossing = block[mask[block[:, 0]] != mask[block[:, 1]]]
+            d_out += np.bincount(crossing.ravel(), minlength=n)
         d_in = np.where(mask, deg - d_out, d_out)
     else:
         deg = graph.degrees

@@ -25,6 +25,10 @@ from scipy.spatial import cKDTree
 
 from .errors import (DegenerateFunction, ResolutionTooCoarse,
                      UnsupportedDimension)
+# kernel pairs per block of the pair sums of `smooth` and zonal TV_h: the one
+# cache budget, under a name of this module's own, which patches the
+# continuum sums alone
+from .proximity_graph import BLOCK as _BLOCK_PAIRS
 from .quadrature import QuadratureGrid, grid_for_scale
 
 _SIGMA = {1: 1.0, 2: 4.0 / 3.0, 3: np.pi / 2.0}
@@ -33,12 +37,6 @@ _SIGMA = {1: 1.0, 2: 4.0 / 3.0, 3: np.pi / 2.0}
 CHECK_C = 10.0
 # latitude bands of the zonal TV_h reduction on the sphere
 ZONAL_BANDS = 2400
-# Kernel pairs per block of the pair sums of `smooth` and zonal TV_h: a cache
-# budget. One array of a block takes 512 kB, so each elementwise step runs in
-# a core's L2 cache (2 MB on the Xeon measured: the sphere smoothing-chain
-# check at (0.1, 0.2) took 0.35-0.44 s with 16 k-128 k pairs a block against
-# 0.75 s with 1 M), and memory stays bounded whatever the number of pairs.
-_BLOCK_PAIRS = 65_536
 
 
 def surface_tension(m) -> float:

@@ -3,7 +3,9 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cheeger_lab import cli, proximity_graph
+from cheeger_lab import cli, nonlocal_tv, proximity_graph
 from cheeger_lab.cut_solvers import (_best_sweep_k, refine_local_search,
                                      result_from_subset, solve_arc_sweep,
                                      solve_exact)
@@ -288,38 +290,57 @@ def _same_cut(a, b):
             and a.solver == b.solver and a.extras == b.extras)
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["circle", "flat_torus_2", "sphere_2"]),
        st.integers(min_value=3, max_value=150), st.floats(min_value=0.1, max_value=0.8),
-       st.integers(min_value=0, max_value=2 ** 31))
-@example("circle", 10, 0.5, 1)  # small enough for solve_exact
-@example("sphere_2", 12, 0.8, 2)
-def test_no_result_depends_on_the_order_of_the_edge_rows(name, n, eps, seed):
+       st.integers(min_value=0, max_value=2 ** 31),
+       st.sampled_from([1, 3, 7, proximity_graph.BLOCK]))
+@example("circle", 10, 0.5, 1, 3)  # small enough for solve_exact
+@example("sphere_2", 12, 0.8, 2, 7)
+@example("circle", 6, 1e-6, 3, 1)  # no edges
+@example("flat_torus_2", 8, 1e-3, 5, 3)
+@example("circle", 20, 0.3, 16, 7)  # E = 147, a multiple of both 3 and 7
+@example("sphere_2", 20, 0.3, 13, 3)  # E = 63
+def test_no_result_depends_on_the_order_of_the_edge_rows(name, n, eps, seed, block):
+    """Every pass over the edges gives the same result, bit for bit, for any
+    order of the edge rows and any number of rows a block (``BLOCK``)."""
     g = build_graph(get_manifold(name).sample(n, seed=seed % 10_000), eps)
-    h = _reordered(g, seed)
-    ref = coo_adjacency(g)
-    assert_same_csr(g.adjacency, ref)
-    assert_same_csr(h.adjacency, ref)
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < rng.random()
     u = rng.standard_normal(n)
-    for f in (u, mask.astype(float)):
-        assert np.float64(gtv(g, f)).tobytes() == np.float64(gtv(h, f)).tobytes()
-    assert cut_size(g, mask) == cut_size(h, mask)
-    assert cut_and_balance(g, mask) == cut_and_balance(h, mask)
-    assert np.float64(objective(g, mask)).tobytes() == np.float64(objective(h, mask)).tobytes()
     order = rng.permutation(n)
-    assert _best_sweep_k(g, order) == _best_sweep_k(h, order)
-    # local search off the edge list (fresh graphs) and off the CSR (read above)
     start = result_from_subset(g, np.flatnonzero(mask) if mask.any() else [0], "random")
-    held = refine_local_search(g, start)
-    assert _same_cut(refine_local_search(h, start), held)
-    assert _same_cut(refine_local_search(_reordered(g, seed + 1), start), held)
-    assert _same_cut(refine_local_search(build_graph(g.cloud, eps), start), held)
+    # the results in whole blocks and the edge rows as built: a graph that
+    # holds no CSR yet runs local search off its edge list
+    want_gtv = [_bits(gtv(g, f)) for f in (u, mask.astype(float))]
+    want_cut = cut_size(g, mask)
+    want_k = _best_sweep_k(g, order)
+    from_edges = refine_local_search(replace(g), start)
+    ref = coo_adjacency(g)
+    with mock.patch.object(proximity_graph, "BLOCK", block):
+        for h in (g, _reordered(g, seed)):
+            assert_same_csr(h.adjacency, ref)
+            assert [_bits(gtv(h, f)) for f in (u, mask.astype(float))] == want_gtv
+            assert cut_size(h, mask) == want_cut
+            assert cut_and_balance(h, mask) == cut_and_balance(g, mask)
+            assert _bits(objective(h, mask)) == _bits(objective(g, mask))
+            assert _best_sweep_k(h, order) == want_k
+            # local search off the CSR (read above) and off the edge list
+            assert _same_cut(refine_local_search(h, start), from_edges)
+        assert _same_cut(refine_local_search(_reordered(g, seed + 1), start), from_edges)
+        assert _same_cut(refine_local_search(build_graph(g.cloud, eps), start), from_edges)
+        if name == "circle":
+            got = solve_arc_sweep(_reordered(g, seed))
+        if n <= 12:
+            exact = solve_exact(_reordered(g, seed))
     if name == "circle":
-        assert _same_cut(solve_arc_sweep(h), solve_arc_sweep(g))
+        assert _same_cut(got, solve_arc_sweep(g))
     if n <= 12:
-        assert _same_cut(solve_exact(h), solve_exact(g))
+        assert _same_cut(exact, solve_exact(g))
 
 
 def test_graph_save_load_roundtrip(tmp_path):
@@ -482,8 +503,11 @@ def test_build_graph_refuses_an_m_other_than_the_cloud_s():
 
 
 # every epsilon and m that build_graph or load refused before they shared a
-# check, but m = None, which build_graph reads as the cloud's m
-BAD_EPSILON = [0, 0.0, -0.1, float("inf"), float("nan"), "0.2", None, True, np.True_]
+# check, but m = None, which build_graph reads as the cloud's m; and the
+# epsilons whose rescaling at n = 30, m = 1 divides by zero (1e-200), is inf
+# (1e-160) or overflows in eps^2 (1e200)
+BAD_EPSILON = [0, 0.0, -0.1, float("inf"), float("nan"), "0.2", None, True, np.True_,
+               1e-200, 1e-160, 1e200]
 BAD_M = [0, -1, 1.5, 1.7, "1", True, 2.0]
 
 
@@ -503,6 +527,23 @@ def test_build_graph_and_load_refuse_the_same_epsilon_and_m(tmp_path, monkeypatc
     with pytest.raises(ValueError) as loaded:
         ProximityGraph.load(path, cloud=cloud)
     assert str(loaded.value) == f"{path}: {built.value}"
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-160, 1e200])
+def test_an_epsilon_whose_rescaling_is_not_a_finite_float_is_refused(tmp_path, eps):
+    # before the check, 1e-200 raised ZeroDivisionError in every functional,
+    # 1e-160 made every ratio inf or nan, and 1e200 raised OverflowError
+    cloud = get_manifold("circle").sample(30, seed=2)
+    message = (f"epsilon = {eps!r} puts the rescaling 1/(n^2 eps^(m+1)) "
+               f"outside the floats at n = 30, m = 1")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_graph(cloud, eps)
+    path, _ = _saved_graph(tmp_path, epsilon=eps)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProximityGraph.load(path)
+    assert cli.main(["solve", "--graph", str(path), "--method", "spectral"]) == 3
+    # the smallest epsilon whose rescaling is finite still builds
+    assert math.isfinite(build_graph(cloud, 1e-154).rescale)
 
 
 def test_raw_points_require_dimension():
@@ -553,6 +594,58 @@ class _SparseBuildSites(ast.NodeVisitor):
                 or getattr(node.func, "attr", None) in self.CONVERSIONS):
             self.sites.append((self.module, ".".join(self.scope)))
         self.generic_visit(node)
+
+
+class _EdgeArraySites(ast.NodeVisitor):
+    """(module, function) of each read of an ``.edges`` attribute other than
+    its length, and (module, name) of each module-level constant whose name
+    holds BLOCK."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.sites, self.blocks = module, [], [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Assign(self, node):
+        if not self.scope:
+            self.blocks += [(self.module, t.id) for t in node.targets
+                            if isinstance(t, ast.Name) and "BLOCK" in t.id]
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "len"
+                and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "edges"):
+            self.visit(node.args[0].value)
+            return
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if node.attr == "edges":
+            self.sites.append((self.module, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_the_block_helper_save_and_exact_enumeration_read_the_edge_array():
+    # every other pass takes consecutive row blocks from _edge_blocks, so it
+    # makes no array of length E; load and _key_sorted read the arrays they
+    # are handed, and the one cache budget is defined once
+    sites, blocks = [], []
+    for path in sorted(Path(proximity_graph.__file__).parent.glob("*.py")):
+        visitor = _EdgeArraySites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        sites += visitor.sites
+        blocks += visitor.blocks
+    assert sorted(set(sites)) == [("cut_solvers", "solve_exact"),
+                                  ("proximity_graph", "ProximityGraph.save"),
+                                  ("proximity_graph", "_edge_blocks")]
+    assert blocks == [("proximity_graph", "BLOCK")]
+    assert nonlocal_tv._BLOCK_PAIRS == proximity_graph.BLOCK == 65_536
 
 
 def test_sparse_matrices_are_built_in_two_places():
