@@ -136,13 +136,17 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
 
     Every arc of length k has the same balance, and the integer cuts keep
     their order under the positive factor, so each k keeps its least cut
-    (first start on ties) and the best ratio over k wins. An arc of length
-    n - k is the complement of one of length k, with the same cut and the
-    same balance, and ties go to the shorter length, so only the lengths
-    1..floor(n/2) are swept. Growing the arcs
+    (first start on ties) and the best ratio over k wins. Growing the arcs
     that start at s by the vertex u at s + k adds deg(u) minus twice its
     neighbours inside the arc: min(lccw(u), k) behind it plus the forward
-    neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). For
+    neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). These counts
+    are the arcs' cuts when each vertex's neighbours behind it and ahead of
+    it are its lccw and rcw nearest in angular order, as in an epsilon-graph.
+    Then an arc of length n - k is the complement of one of length k, with
+    the same cut and balance, and ties go to the shorter length, so only the
+    lengths 1..floor(n/2) are swept. An edge list without contiguous windows
+    (such as a loaded file) gets every length 1..n - 1 and the certificate
+    ``Heuristic``: its counts are not the arcs' cuts. For
     max lccw <= k <= n - 1 - max rcw both terms are fixed, so
     cut_k(s) = base(s) + Q[s + k] with Q the prefix sum of rcw - lccw along
     the doubled order. That middle range is scanned in windows; the lengths
@@ -159,24 +163,35 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
     mf = graph.cloud.manifold
     t = mf.to_intrinsic(graph.points)
     order = np.argsort(t, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
 
     # directional neighbor-window sizes from the actual adjacency
     lccw = np.zeros(n, dtype=np.int64)  # neighbors among angular predecessors
     rcw = np.zeros(n, dtype=np.int64)   # neighbors among angular successors
+    spread = 0  # sum over the edges of the steps in angular order from tail to head
     for block in _edge_blocks(graph):
         i, j = block[:, 0], block[:, 1]
         g = _wrap(t[j] - t[i])
         fwd = (g < 0.5) | ((g == 0.5) & (i < j))
         head = np.where(fwd, j, i)  # the endpoint ahead of the other
+        tail = i + j - head
         lccw += np.bincount(head, minlength=n)
-        rcw += np.bincount(i + j - head, minlength=n)
+        rcw += np.bincount(tail, minlength=n)
+        ahead = rank[head] - rank[tail]  # minus n where the edge wraps past 0
+        spread += int(ahead.sum()) + n * int(np.count_nonzero(ahead < 0))
+    # a vertex's rcw steps to its heads are distinct in 1..n - 1, so they sum
+    # to at least rcw (rcw + 1) / 2, and to that only if they are 1..rcw; the
+    # same steps seen from the heads bound the lccw windows
+    contiguous = spread == int((rcw * (rcw + 1)).sum()) // 2 \
+        == int((lccw * (lccw + 1)).sum()) // 2
     # the narrowest of int32 and int64 that holds 3E (see above)
     dtype = np.int32 if 3 * len(graph.edges) < 2 ** 31 else np.int64
     # positions s + k of the doubled angular order need no modulo
     lc = np.tile(lccw[order].astype(dtype), 2)
     rc = np.tile(rcw[order].astype(dtype), 2)
 
-    top = n // 2 + 1  # one past the longest length swept
+    top = n // 2 + 1 if contiguous else n  # one past the longest length swept
     start = np.empty(top - 1, dtype=np.int64)
     least = np.empty(top - 1, dtype=dtype)
 
@@ -216,7 +231,8 @@ def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
         k, cut = hi, block[-1]
     k = int(np.argmin(cheeger_ratio(least, np.arange(1, top), n, graph.rescale))) + 1
     subset = order[(start[k - 1] + np.arange(k)) % n]
-    return result_from_subset(graph, subset, solver="arc_sweep")
+    res = result_from_subset(graph, subset, solver="arc_sweep")
+    return res if contiguous else replace(res, certificate="Heuristic")
 
 
 # ---------------------------------------------------------------------------

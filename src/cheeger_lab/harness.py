@@ -213,26 +213,34 @@ def _record_path(out_dir, n, trial):
     return Path(out_dir) / f"record_n{n}_t{trial}.json"
 
 
-def run_trial(cfg: ExperimentConfig, n, trial) -> dict:
+def run_trial(cfg: ExperimentConfig, n, trial, on_stage=None) -> dict:
+    """One trial's record; ``on_stage(name, seconds)``, if given, is called
+    as each stage of ``STAGES`` ends."""
     mf = get_manifold(cfg.manifold)
     seed = trial_seed(cfg.seed, n, trial)
     eps = cfg.epsilon(n)
     marks = [time.perf_counter()]
+
+    def mark():
+        marks.append(time.perf_counter())
+        if on_stage is not None:
+            on_stage(STAGES[len(marks) - 2], marks[-1] - marks[-2])
+
     cloud = mf.sample(n, seed=seed)
-    marks.append(time.perf_counter())
+    mark()
     graph = build_graph(cloud, eps)
-    marks.append(time.perf_counter())
+    mark()
     result = _SOLVERS[cfg.solver](graph)
-    marks.append(time.perf_counter())
+    mark()
     target = surface_tension(mf.m) * mf.cheeger_constant
     # exact transport distance on the circle; unmeasured elsewhere, where the
     # covering radius sup_displacement is only a lower bound on it
     transport_delta = (circle_transport_delta(cloud)
                        if isinstance(mf, Circle) else None)
-    marks.append(time.perf_counter())
+    mark()
     grid = build_grid(mf, TRIAL_GRID[mf.name])
     err = cut_l1_error(result, cloud, grid)
-    marks.append(time.perf_counter())
+    mark()
     # the density-fluctuation term of kappa is unmeasured
     kappa = (None if transport_delta is None
              else eps ** (1.0 / 6.0) + transport_delta / eps)

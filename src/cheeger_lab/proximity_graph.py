@@ -102,8 +102,6 @@ class ProximityGraph:
         meta = read_sidecar(path, ("n", "epsilon", "m"))
         n, eps, m = meta["n"], meta["epsilon"], meta["m"]
         # the checks of build_graph, plus those of the cloud and the edge list
-        if not (is_int(n) and n > 0):
-            raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
         _check_parameters(eps, m, n, cloud, where=f"{path}: ")
         if cloud is not None and cloud.points.shape[0] != n:
             raise ValueError(f"{path}: the cloud has {cloud.points.shape[0]} "
@@ -151,10 +149,13 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
 
 
 def _check_parameters(epsilon, m, n, cloud=None, where=""):
-    """Refuse an epsilon that is not a positive finite number (a bool
-    included), an m that is not a positive integer, an m other than the
-    dimension of the cloud's manifold, and an epsilon whose rescaling
-    1 / (n^2 eps^{m+1}) is not a finite float; ``where`` starts each message."""
+    """Refuse an n that is not a positive integer, an epsilon that is not a
+    positive finite number (a bool included), an m that is not a positive
+    integer, an m other than the dimension of the cloud's manifold, and an
+    epsilon whose rescaling 1 / (n^2 eps^{m+1}) is not a finite float;
+    ``where`` starts each message."""
+    if not (is_int(n) and n > 0):
+        raise ValueError(f"{where}n must be a positive integer, got {n!r}")
     if not (isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
             and math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"{where}epsilon must be a positive finite number, "

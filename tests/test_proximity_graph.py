@@ -546,6 +546,13 @@ def test_an_epsilon_whose_rescaling_is_not_a_finite_float_is_refused(tmp_path, e
     assert math.isfinite(build_graph(cloud, 1e-154).rescale)
 
 
+@pytest.mark.parametrize("points,m", [(np.empty((0, 2)), 2), (np.empty(0), 1)])
+def test_build_graph_refuses_an_empty_point_set(points, m):
+    # its rescaling 1/(0 * eps^(m+1)) divides by zero, a fault of n, not of epsilon
+    with pytest.raises(ValueError, match="^n must be a positive integer, got 0$"):
+        build_graph(points, 0.3, m=m)
+
+
 def test_raw_points_require_dimension():
     with pytest.raises(ValueError, match="m required"):
         build_graph(np.zeros((5, 2)), 0.1)

@@ -1,14 +1,14 @@
-"""Run one trial stage by stage and print each stage's time and peak memory.
+"""Run one circle trial stage by stage and print each stage's time and peak memory.
 
-    PYTHONPATH=src python tools/trial_profile.py --manifold circle --n 16000
+    PYTHONPATH=src python tools/trial_profile.py --n 16000 --seed 1
 
-The stages are those of ``harness.run_trial`` with the default pipeline
-solver: sample the cloud, build the graph, solve, take the graph TV of the
-cut's indicator, and the L1 cut error on the trial grid. After each stage it
-prints the stage's seconds and the process's peak resident memory so far
-(``ru_maxrss``), so run it as a process of its own: the peak then belongs to
-this one trial. ε defaults to n^(-1/4). The last line is one JSON object
-holding the same numbers.
+The trial is ``harness.run_trial`` for trial 0 of a circle config with the
+pipeline solver, master seed ``--seed`` and ε = n^(-1/4). As each stage of
+``harness.STAGES`` ends it prints the stage's seconds and the process's peak
+resident memory so far (``ru_maxrss``), so run it as a process of its own:
+the peak then belongs to this one trial. The last line is one JSON object
+holding the per-stage numbers and the trial's record as the run digest reads
+it (``harness.UNDIGESTED`` left out, the timings among them).
 """
 
 from __future__ import annotations
@@ -16,55 +16,36 @@ from __future__ import annotations
 import argparse
 import json
 import resource
-import time
 
-import numpy as np
-
-from cheeger_lab.consistency import cut_l1_error
-from cheeger_lab.cut_solvers import solve_pipeline
-from cheeger_lab.harness import TRIAL_GRID
-from cheeger_lab.manifold import get_manifold
-from cheeger_lab.proximity_graph import build_graph, gtv
-from cheeger_lab.quadrature import build_grid
+from cheeger_lab.harness import UNDIGESTED, ExperimentConfig, run_trial
 
 
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # kB on Linux
 
 
+def config(n, seed):
+    """The profiled trial's config: the circle, ε = n^(-1/4)."""
+    return ExperimentConfig(manifold="circle", n_list=[n], trials=1, seed=seed,
+                            out="", epsilon_c=1.0, epsilon_k=0.25)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--manifold", default="circle", choices=sorted(TRIAL_GRID))
     ap.add_argument("--n", type=int, required=True)
-    ap.add_argument("--epsilon", type=float, default=None,
-                    help="graph radius; default n^(-1/4)")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    mf = get_manifold(args.manifold)
-    eps = args.n ** -0.25 if args.epsilon is None else args.epsilon
     stages = []
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        stages.append({"stage": name, "s": time.perf_counter() - t0,
-                       "peak_rss_mb": peak_rss_mb()})
-        print(f"{name:>8}  {stages[-1]['s']:8.3f} s  {stages[-1]['peak_rss_mb']:9.1f} MB",
+    def on_stage(name, seconds):
+        stages.append({"stage": name, "s": seconds, "peak_rss_mb": peak_rss_mb()})
+        print(f"{name:>9}  {seconds:8.3f} s  {stages[-1]['peak_rss_mb']:9.1f} MB",
               flush=True)
-        return out
 
-    print(f"{'start':>8}  {'':>10}  {peak_rss_mb():9.1f} MB", flush=True)
-    cloud = stage("sample", lambda: mf.sample(args.n, seed=args.seed))
-    graph = stage("graph", lambda: build_graph(cloud, eps))
-    cut = stage("solve", lambda: solve_pipeline(graph))
-    inside = np.zeros(graph.n)
-    inside[cut.subset] = 1.0
-    tv = stage("gtv", lambda: gtv(graph, inside))
-    err = stage("l1", lambda: cut_l1_error(cut, cloud, build_grid(mf, TRIAL_GRID[mf.name])))
-    print(json.dumps({"manifold": mf.name, "n": graph.n, "epsilon": eps,
-                      "edges": len(graph.edges), "cheeger_ratio": cut.objective_value,
-                      "gtv": tv, "l1_cut_error": float(err.l1_error),
-                      "stages": stages}))
+    print(f"{'start':>9}  {'':>10}  {peak_rss_mb():9.1f} MB", flush=True)
+    rec = run_trial(config(args.n, args.seed), args.n, 0, on_stage=on_stage)
+    record = {k: v for k, v in rec.items() if k not in UNDIGESTED}
+    print(json.dumps({"record": record, "stages": stages}))
 
 
 if __name__ == "__main__":
