@@ -126,9 +126,7 @@ def interpolate(u, surrogate: TransportSurrogate, a) -> ContinuumFunction:
         sub = transport_assign(cloud, np.atleast_2d(points))
         return u[sub.assignment]
 
-    bound = float(np.abs(u).max()) if u.size else 0.0
-    fpb = ContinuumFunction(evaluator=pullback_eval, bound=bound)
-    return smooth(fpb, a, surrogate.grid)
+    return smooth(ContinuumFunction(evaluator=pullback_eval), a, surrogate.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +175,7 @@ def fix_mass(indicator, volume, target_mass, grid: QuadratureGrid) -> AdjustedSe
     manifold = grid.manifold
     dv = target_mass - volume
     if abs(dv) < 1e-12:
-        f = ContinuumFunction(evaluator=lambda p: np.asarray(indicator(p), float),
-                              bound=1.0)
+        f = ContinuumFunction(evaluator=lambda p: np.asarray(indicator(p), float))
         return AdjustedSet(indicator=f, volume=volume, symmetric_difference=0.0,
                            perimeter_increment=0.0, radius=0.0)
     try:
@@ -195,7 +192,7 @@ def fix_mass(indicator, volume, target_mass, grid: QuadratureGrid) -> AdjustedSe
         inball = (manifold.geodesic_distance(points, center[None, :]) <= r)
         return np.where(inball, 1.0 if adding else 0.0, base)
 
-    f = ContinuumFunction(evaluator=evaluator, bound=1.0)
+    f = ContinuumFunction(evaluator=evaluator)
     perim = manifold.ball_perimeter(r)
     return AdjustedSet(indicator=f, volume=volume + dv,
                        symmetric_difference=abs(dv),
@@ -246,8 +243,7 @@ def _ball_site_circle(fvals, grid, r, exterior):
     edges = []
     for k in trans:
         prev = (k - 1) % n
-        gap = _wrap(t[k] - t[prev]) if k > 0 else _wrap(t[0] - t[-1])
-        edges.append((_wrap(t[prev] + gap / 2.0), bool(vals[k])))
+        edges.append((_wrap(t[prev] + _wrap(t[k] - t[prev]) / 2.0), bool(vals[k])))
     # run length after each edge, up to the next transition
     for i, (pos, starts_inside) in enumerate(edges):
         nxt = edges[(i + 1) % len(edges)][0]
@@ -320,7 +316,6 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
 
 class CutError(NamedTuple):
     l1_error: float
-    matched_param: object
     discrete_error: float
     sup_displacement: float
 
@@ -335,8 +330,8 @@ def cut_l1_error(cut, cloud: PointCloud, grid: QuadratureGrid) -> CutError:
     alpha, param = match_minimizer(u[sur.assignment], grid)
     disc = float(np.mean(u != grid.manifold.minimizer(param).indicator(cloud.points)))
     disc = min(disc, 1.0 - disc)
-    return CutError(l1_error=float(alpha), matched_param=param,
-                    discrete_error=disc, sup_displacement=sur.sup_displacement)
+    return CutError(l1_error=float(alpha), discrete_error=disc,
+                    sup_displacement=sur.sup_displacement)
 
 
 # ---------------------------------------------------------------------------

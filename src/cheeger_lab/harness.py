@@ -26,8 +26,8 @@ import numpy as np
 
 from .consistency import (circle_transport_delta, cut_l1_error, fit_rate,
                           loglog_fit, schedule_exponents)
-from .cut_solvers import (solve_arc_sweep, solve_exact, solve_pipeline,
-                          solve_spectral_sweep)
+from .cut_solvers import (EXACT_LIMIT, solve_arc_sweep, solve_exact,
+                          solve_pipeline, solve_spectral_sweep)
 from .errors import ConfigError, MissingColumns
 from .manifold import Circle, get_manifold, is_int
 from .nonlocal_tv import surface_tension
@@ -169,6 +169,13 @@ def validate_config(source) -> ExperimentConfig:
     solver = raw.get("solver", "pipeline")
     if solver not in _SOLVERS:
         errors.append(f"unknown solver {solver!r}; expected one of {sorted(_SOLVERS)}")
+    # solvers that would fail in every trial of the config
+    if solver == "exact" and n_list and max(n_list) > EXACT_LIMIT:
+        errors.append(f"solver 'exact' enumerates cuts of n <= {EXACT_LIMIT} only; "
+                      f"offending n: {[n for n in n_list if n > EXACT_LIMIT]}")
+    if solver == "arc" and mf is not None and mf.name != "circle":
+        errors.append(f"solver 'arc' sweeps arcs of the circle only, "
+                      f"not of the {mf.name}")
     epsilons = parse("epsilons", lambda v: [_real(e) for e in v])
     epsilon_c = parse("epsilon_c", _real, 2.0)
     epsilon_k = parse("epsilon_k", _real)

@@ -15,6 +15,7 @@ sphere.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,10 +75,13 @@ class PointCloud:
         if not isinstance(meta["manifold"], str):
             raise ValueError(f"{path}: manifold must be a name, "
                              f"got {meta['manifold']!r}")
-        if not is_int(meta["n"]):
-            raise ValueError(f"{path}: n must be an integer, got {meta['n']!r}")
+        if not (is_int(meta["n"]) and meta["n"] > 0):
+            raise ValueError(f"{path}: n must be a positive integer, got {meta['n']!r}")
         mf = get_manifold(meta["manifold"])
-        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+        rows = path.read_text().partition("\n")[2]  # below the header
+        # loadtxt warns on no rows; a file of none is short of the sidecar's n
+        pts = (np.loadtxt(io.StringIO(rows), delimiter=",", ndmin=2)[:, 1:]
+               if rows.strip() else np.empty((0, mf.d)))
         # the solvers and certificates trust the label, so the points must fit it
         if pts.shape[1] != mf.d:
             raise ValueError(f"{path}: {pts.shape[1]} coordinates a point, "

@@ -51,7 +51,6 @@ def surface_tension(m) -> float:
 class ContinuumFunction:
     """A function on the manifold, given by an ambient-coordinate evaluator."""
     evaluator: callable                  # (k, d) ambient -> (k,) values
-    bound: float = None                  # known sup-norm bound, if any
     tv_exact: float = None               # closed-form TV, if known
     zonal_axis: np.ndarray = None        # sphere: f depends on x . axis only
 
@@ -61,13 +60,13 @@ class ContinuumFunction:
 
 def indicator_function(ref) -> ContinuumFunction:
     """ContinuumFunction wrapping a reference set's indicator."""
-    return ContinuumFunction(evaluator=ref.indicator, bound=1.0,
-                             tv_exact=ref.perimeter, zonal_axis=ref.zonal_axis)
+    return ContinuumFunction(evaluator=ref.indicator, tv_exact=ref.perimeter,
+                             zonal_axis=ref.zonal_axis)
 
 
 def constant_function(c) -> ContinuumFunction:
     return ContinuumFunction(evaluator=lambda p: np.full(len(np.atleast_2d(p)), float(c)),
-                             bound=abs(c), tv_exact=0.0)
+                             tv_exact=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,71 +118,43 @@ def _hat_cdf(x, center, s):
 
 
 @lru_cache(maxsize=64)
-def _circle_lag_pairs(n, h):
-    """Lags l >= 1, as (k, 1) offsets, with the folded weights 2 W(l).
-
-    W(l) = int hat_l(z) 1_{|z|<=h} dz times cell length; lags l and -l give
-    the same roll sum, so one roll serves both. Zero weights are dropped.
+def _lattice_offsets(n, h, m):
+    """Offsets o of the n^m lattice whose first nonzero coordinate is
+    positive, as (k, m) integers, with their weights 2 W(o): o and -o give
+    the same roll sum, so one roll serves both. W(o) = int prod_k
+    hat_{o_k}(z_k) 1_{|z|<=h} dz, hats of half-width s = 1/n, is even in
+    each coordinate, so it is taken on |o|: exactly in the last coordinate
+    and, for m = 2, by composite Simpson in the first. Zero weights are
+    dropped.
     """
-    s = 1.0 / n
-    lmax = int(np.floor(h / s)) + 1
-    ls = np.arange(1, lmax + 1)
-    w = _hat_cdf(h, ls * s, s) - _hat_cdf(-h, ls * s, s)
-    keep = w != 0.0
-    return ls[keep, None], 2.0 * w[keep]
-
-
-@lru_cache(maxsize=32)
-def _torus_offset_weights(n, h):
-    """W(p,q) = int hat_p(zu) hat_q(zv) 1_{|z|<=h} dz on the offset lattice."""
     s = 1.0 / n
     pmax = int(np.floor(h / s)) + 1
-    offs = [(p, q) for p in range(-pmax, pmax + 1)
-            for q in range(-pmax, pmax + 1)
-            if (p, q) != (0, 0) and (p * p + q * q) * s * s <= (h + s) ** 2 * 2]
-    offs = np.array(offs)
-    msim = 512
-    out = np.zeros(len(offs))
-    for i, (p, q) in enumerate(offs):
-        zu = np.linspace((p - 1) * s, (p + 1) * s, msim + 1)
-        hat_u = np.maximum(0.0, 1.0 - np.abs(zu - p * s) / s)
+    ks = np.arange(pmax + 1) * s  # the hat centres of |o_k| = 0..pmax
+    if m == 1:
+        w = _hat_cdf(h, ks, s) - _hat_cdf(-h, ks, s)
+    else:
+        msim = 512
+        zu = np.linspace(ks - s, ks + s, msim + 1, axis=-1)[..., None]  # (p, node, 1)
         c = np.sqrt(np.maximum(h * h - zu * zu, 0.0))
-        inner = _hat_cdf(c, q * s, s) - _hat_cdf(-c, q * s, s)
-        g = hat_u * inner
-        # composite Simpson
-        wts = np.ones(msim + 1)
-        wts[1:-1:2] = 4.0
-        wts[2:-1:2] = 2.0
-        out[i] = (2.0 * s / msim) / 3.0 * np.dot(wts, g)
-    keep = out > 0.0
-    return offs[keep], out[keep]
-
-
-@lru_cache(maxsize=32)
-def _torus_offset_pairs(n, h):
-    """Offsets with (p, q) and (-p, -q) folded into one, their weights summed.
-
-    Both give the same sum of |v - roll(v)| over the lattice, so one roll
-    serves the pair; an offset whose mirror has no weight stays alone.
-    """
-    offs, wts = _torus_offset_weights(n, h)
-    index = {(int(p), int(q)): i for i, (p, q) in enumerate(offs)}
-    keep, folded = [], []
-    for i, (p, q) in enumerate(offs):
-        j = index.get((-int(p), -int(q)))
-        if j is None:
-            keep.append(i)
-            folded.append(wts[i])
-        elif i < j:
-            keep.append(i)
-            folded.append(wts[i] + wts[j])
-    return offs[keep], np.array(folded)
+        hat_u = np.maximum(0.0, 1.0 - np.abs(zu - ks[:, None, None]) / s)
+        g = hat_u * (_hat_cdf(c, ks, s) - _hat_cdf(-c, ks, s))  # (p, node, q)
+        rule = np.ones(msim + 1)
+        rule[1:-1:2] = 4.0
+        rule[2:-1:2] = 2.0
+        w = (2.0 * s / msim) / 3.0 * np.einsum("n,pnq->pq", rule, g)
+    # the box [-pmax, pmax]^m in lexicographic order: the offsets after the
+    # origin are those whose first nonzero coordinate is positive
+    box = np.indices((2 * pmax + 1,) * m).reshape(m, -1).T - pmax
+    offs = box[len(box) // 2 + 1:]
+    wts = 2.0 * w[tuple(np.abs(offs).T)]
+    keep = wts > 0.0
+    return offs[keep], wts[keep]
 
 
 def _tvh_lattice(values, h):
     """TV_h on the periodic n^m lattice: a weighted sum of roll differences."""
     n, m = values.shape[0], values.ndim
-    offs, wts = (_circle_lag_pairs if m == 1 else _torus_offset_pairs)(n, h)
+    offs, wts = _lattice_offsets(n, h, m)
     # (1/n)^m as a product of m factors; (1/n) ** 2 can round differently
     cell = math.prod([1.0 / n] * m)
     # the lattice tiled twice per axis: the window at o % n of length n is
@@ -312,8 +283,7 @@ def smooth(f: ContinuumFunction, a, grid: QuadratureGrid) -> ContinuumFunction:
             out[idx] = num / den
         return out
 
-    return ContinuumFunction(evaluator=evaluator, bound=f.bound,
-                             zonal_axis=f.zonal_axis)
+    return ContinuumFunction(evaluator=evaluator, zonal_axis=f.zonal_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +307,15 @@ class CheckReport:
 
 def check_bias_inequality(manifold, ref, h_list,
                           grid_factor=8) -> CheckReport:
-    """TV_h(1_E) <= (1 + C h^2) sigma * TV(1_E) on a reference set."""
+    """TV_h(1_E) <= (1 + C h^2) sigma * TV(1_E) on a reference set.
+
+    Each entry's ``fitted_c`` = (ratio - 1) / h^2 is ill-conditioned: where
+    the ratio is near 1 the subtraction cancels most of its bits, and the
+    division by a small h^2 magnifies what is left. A relative move r of
+    TV_h moves it by about r / h^2 (an ulp of TV_h at h = 0.02: about
+    1e-12), so compare it across changes with an absolute tolerance, not in
+    ulps or relative to itself; the verdict ``ok`` reads the ratio.
+    """
     if not len(h_list):
         # a report with no entries would read as passed
         raise ValueError("bias inequality check needs at least one scale h")
@@ -393,7 +371,7 @@ def check_smoothing_chain(manifold, ref, h, a,
     lam = smooth(f, a, grid)
     grad = gradient_norm_fd(lam, grid)
     tv_sm = float(np.dot(grid.weights, grad))
-    sup = f.bound  # 1, the bound of an indicator
+    sup = 1.0  # the sup-norm bound of an indicator
     lhs = sigma * tv_sm
     bound = (1.0 + C * (h * h + a)) * tvh + C * (h / (a * a) + a) * sup
     l1 = float(np.dot(grid.weights, np.abs(lam(grid.nodes) - f(grid.nodes))))

@@ -233,20 +233,19 @@ def test_criterion_05_nonlocal_calculus():
     circle_fs.append(smooth(circle_fs[0], 0.05, gc))
     circle_fs.append(ContinuumFunction(
         evaluator=lambda p: 0.5 * (1 + np.sin(2 * np.pi * CIRCLE.to_intrinsic(p))),
-        tv_exact=2.0, bound=1.0))
+        tv_exact=2.0))
     torus_fs = [indicator_function(TorusStrip(TORUS, axis=ax, offset=off))
                 for ax, off in ((0, 0.0), (1, 0.3))]
     torus_fs.append(smooth(torus_fs[0], 0.05, gt))
     torus_fs.append(ContinuumFunction(
         evaluator=lambda p: 0.5 * (1 + np.sin(2 * np.pi * TORUS.to_intrinsic(p)[..., 0])),
-        tv_exact=2.0, bound=1.0))
+        tv_exact=2.0))
     sphere_fs = [indicator_function(SphereCap(SPHERE, pole=pp))
                  for pp in ([0, 0, 1], [1.0, 1.0, 0.0])]
     sphere_fs.append(smooth(sphere_fs[0], 0.05,
                             grid_for_scale(SPHERE, 0.05, 4)))
     sphere_fs.append(ContinuumFunction(
-        evaluator=lambda p: 0.5 * (1 + SPHERE.to_intrinsic(p)[..., 2]),
-        bound=1.0))
+        evaluator=lambda p: 0.5 * (1 + SPHERE.to_intrinsic(p)[..., 2])))
     for mf, grid, funcs in ((CIRCLE, gc, circle_fs), (TORUS, gt, torus_fs),
                             (SPHERE, gs, sphere_fs)):
         cm = mf.cheeger_constant

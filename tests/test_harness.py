@@ -72,6 +72,27 @@ def test_validate_config_epsilon_limit_names_offender():
         assert any(offender in e for e in exc.value.errors), exc.value.errors
 
 
+@pytest.mark.parametrize("manifold,n,solver,offender", [
+    pytest.param("sphere_2", "1100,1500", "arc",
+                 "solver 'arc' sweeps arcs of the circle only, not of the sphere_2",
+                 id="arc_off_the_circle"),
+    pytest.param("circle", "100,200,400", "exact",
+                 "solver 'exact' enumerates cuts of n <= 24 only; offending n: [100, 200, 400]",
+                 id="exact_above_its_limit")])
+def test_validate_config_refuses_a_solver_that_fails_every_trial(tmp_path, capsys, manifold,
+                                                                 n, solver, offender):
+    # such a config used to fail every trial and exit 0 with no rates
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"manifold": manifold, "n_list": [int(x) for x in n.split(",")],
+                         "trials": 1, "seed": 0, "out": "x", "solver": solver})
+    assert exc.value.errors == [offender]
+    out = tmp_path / "sweep"
+    assert cli.main(["--out", str(out), "converge", "--manifold", manifold, "--n", n,
+                     "--solver", solver]) == 2
+    assert f"config error: {offender}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overrides,offender", [
     pytest.param({"epsilons": [0.0, 0.1]}, "epsilon(n=100) = 0.0", id="zero"),
     pytest.param({"epsilons": [float("nan"), 0.1]}, "epsilon(n=100) = nan", id="nan"),

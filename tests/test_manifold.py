@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cheeger_lab import manifold
+from cheeger_lab import cli, manifold
 from cheeger_lab.manifold import (Circle, CircleArc, FlatTorus2, PointCloud,
                                   Sphere2, SphereCap, TorusStrip,
                                   _best_half_window, _wrap, _wrap_dist,
@@ -171,7 +171,7 @@ def _lift_first_point(path, factor):
      "4 coordinates a point, the sphere_2 has 3"),
     (("circle", 60), {"n": 99}, 1.0, "60 points, the sidecar n = 99"),
     (("sphere_2", 60), {"n": 59}, 1.0, "60 points, the sidecar n = 59"),
-    (("circle", 60), {"n": 60.0}, 1.0, "n must be an integer, got 60.0"),
+    (("circle", 60), {"n": 60.0}, 1.0, "n must be a positive integer, got 60.0"),
     (("circle", 60), {}, 1.0 + 1e-6, "off the circle"),
     (("flat_torus_2", 40), {}, 1.0 + 1e-6, "off the flat_torus_2"),
     (("sphere_2", 60), {}, 1.0 - 1e-6, "off the sphere_2"),
@@ -184,6 +184,22 @@ def test_pointcloud_load_checks_the_points_against_the_sidecar(tmp_path, sample,
         _lift_first_point(path, lift)
     with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         PointCloud.load(path)
+
+
+@pytest.mark.parametrize("n,message", [
+    (60, "0 points, the sidecar n = 60"),
+    (0, "n must be a positive integer, got 0"),
+    (-1, "n must be a positive integer, got -1")])
+def test_pointcloud_load_of_a_header_only_file(tmp_path, capsys, n, message):
+    # with no row below the header loadtxt warned, and the column count took
+    # the blame ("0 coordinates a point")
+    path = _relabelled_cloud(tmp_path, ("circle", 60), n=n)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        PointCloud.load(path)
+    assert cli.main(["--out", str(tmp_path / "graph.csv"), "build-graph",
+                     "--cloud", str(path), "--epsilon", "0.1"]) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -101,7 +101,7 @@ def test_sphere_hemisphere_tvh_bound():
 def test_sphere_pair_path_agrees_with_zonal():
     cap = SphereCap(SPHERE, pole=[0, 0, 1])
     zonal = indicator_function(cap)
-    generic = ContinuumFunction(evaluator=cap.indicator, bound=1.0)
+    generic = ContinuumFunction(evaluator=cap.indicator)
     h = 0.1
     g = grid_for_scale(SPHERE, h, 4)
     tz = tv_nonlocal(zonal, h, g)
@@ -137,7 +137,7 @@ def test_tvh_layer_cake_three_levels():
         t = CIRCLE.to_intrinsic(p)
         return np.where(t < 0.3, 0.0, np.where(t < 0.7, 1.0, 2.0))
 
-    f = ContinuumFunction(evaluator=three_level, bound=2.0)
+    f = ContinuumFunction(evaluator=three_level)
     f1 = ContinuumFunction(evaluator=lambda p: (three_level(p) >= 1).astype(float))
     f2 = ContinuumFunction(evaluator=lambda p: (three_level(p) >= 2).astype(float))
     h = 0.05
@@ -395,42 +395,66 @@ def _lag_weight(n, h, lag):
     return nonlocal_tv._hat_cdf(h, lag * s, s) - nonlocal_tv._hat_cdf(-h, lag * s, s)
 
 
+def _torus_offset_weights(n, h):
+    """Unfolded W(p,q) = int hat_p(zu) hat_q(zv) 1_{|z|<=h} dz on the whole
+    offset lattice, one composite Simpson rule (512 subintervals) in zu per
+    signed offset; offsets of zero weight are dropped."""
+    s = 1.0 / n
+    pmax = int(np.floor(h / s)) + 1
+    offs = np.array([(p, q) for p in range(-pmax, pmax + 1)
+                     for q in range(-pmax, pmax + 1) if (p, q) != (0, 0)])
+    msim = 512
+    out = np.zeros(len(offs))
+    for i, (p, q) in enumerate(offs):
+        zu = np.linspace((p - 1) * s, (p + 1) * s, msim + 1)
+        hat_u = np.maximum(0.0, 1.0 - np.abs(zu - p * s) / s)
+        c = np.sqrt(np.maximum(h * h - zu * zu, 0.0))
+        inner = nonlocal_tv._hat_cdf(c, q * s, s) - nonlocal_tv._hat_cdf(-c, q * s, s)
+        wts = np.ones(msim + 1)
+        wts[1:-1:2] = 4.0
+        wts[2:-1:2] = 2.0
+        out[i] = (2.0 * s / msim) / 3.0 * np.dot(wts, hat_u * inner)
+    keep = out > 0.0
+    return offs[keep], out[keep]
+
+
 @pytest.mark.parametrize("name", ["circle", "flat_torus_2"])
-@pytest.mark.parametrize("h", [0.02, 0.05, 0.1])
+@pytest.mark.parametrize("h", [0.02, 0.05, 0.1, 0.25])
 def test_lattice_folded_offsets_match_full_roll_sum(name, h):
     mf = get_manifold(name)
-    g = grid_for_scale(mf, h, 8)
-    n = g.lattice_shape[0]
     rng = np.random.default_rng(3)
     ref = (CircleArc(mf, center=0.3) if name == "circle"
            else TorusStrip(mf, axis=1, offset=0.3))
-    lattices = [rng.standard_normal(g.lattice_shape),
-                indicator_function(ref)(g.nodes).reshape(g.lattice_shape)]
-    if name == "circle":
-        # every lag l != 0 with its own weight, both signs rolled
-        lmax = int(np.floor(h * n)) + 1
-        offs = np.array([[l] for l in range(-lmax, lmax + 1) if l != 0])
-        wts = np.array([_lag_weight(n, h, l) for (l,) in offs])
-        folded, folded_wts = nonlocal_tv._circle_lag_pairs(n, h)
-    else:
-        offs, wts = nonlocal_tv._torus_offset_weights(n, h)
-        folded, folded_wts = nonlocal_tv._torus_offset_pairs(n, h)
-    assert len(folded) < len(offs)
-    # every offset with a weight is rolled itself or through its mirror
-    covered = {tuple(o) for o in np.concatenate([folded, -folded]).tolist()}
-    assert covered >= {tuple(o) for o, w in zip(offs.tolist(), wts) if w > 0}
     axes = tuple(range(mf.m))
-    for v in lattices:
-        full = sum((1.0 / n) ** mf.m * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
-                   for o, w in zip(offs, wts)) / h ** (mf.m + 1)
-        assert full > 0
-        assert nonlocal_tv._tvh_lattice(v, h) == pytest.approx(full, rel=1e-12, abs=0)
-        # the tiled windows read exactly the rolled lattices: equal bit for bit
-        cell = math.prod([1.0 / n] * mf.m)
-        rolled = 0.0
-        for o, w in zip(folded, folded_wts):
-            rolled += cell * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
-        assert nonlocal_tv._tvh_lattice(v, h) == rolled / h ** (mf.m + 1)
+    # the grid factors of the bias checks and of the torus chain checks
+    for factor in (8, 4):
+        g = grid_for_scale(mf, h, factor)
+        n = g.lattice_shape[0]
+        lattices = [rng.standard_normal(g.lattice_shape),
+                    indicator_function(ref)(g.nodes).reshape(g.lattice_shape)]
+        if name == "circle":
+            # every lag l != 0 with its own weight, both signs rolled
+            lmax = int(np.floor(h * n)) + 1
+            offs = np.array([[l] for l in range(-lmax, lmax + 1) if l != 0])
+            wts = np.array([_lag_weight(n, h, l) for (l,) in offs])
+        else:
+            offs, wts = _torus_offset_weights(n, h)
+        folded, folded_wts = nonlocal_tv._lattice_offsets(n, h, mf.m)
+        assert len(folded) < len(offs)
+        # every offset with a weight is rolled itself or through its mirror
+        covered = {tuple(o) for o in np.concatenate([folded, -folded]).tolist()}
+        assert covered >= {tuple(o) for o, w in zip(offs.tolist(), wts) if w > 0}
+        for v in lattices:
+            full = sum((1.0 / n) ** mf.m * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
+                       for o, w in zip(offs, wts)) / h ** (mf.m + 1)
+            assert full > 0
+            assert nonlocal_tv._tvh_lattice(v, h) == pytest.approx(full, rel=1e-12, abs=0)
+            # the tiled windows read exactly the rolled lattices: equal bit for bit
+            cell = math.prod([1.0 / n] * mf.m)
+            rolled = 0.0
+            for o, w in zip(folded, folded_wts):
+                rolled += cell * np.abs(v - np.roll(v, -o, axis=axes)).sum() * w
+            assert nonlocal_tv._tvh_lattice(v, h) == rolled / h ** (mf.m + 1)
 
 
 _ANALYTIC_GRADIENTS = {

@@ -9,6 +9,14 @@ from cheeger_lab.harness import STAGES, UNDIGESTED, run_trial
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIAL_PROFILE = ROOT / "tools" / "trial_profile.py"
+SAME_NUMBERS = ROOT / "tools" / "same_numbers.py"
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trial_profile_runs_a_toy_trial_stage_by_stage():
@@ -27,10 +35,27 @@ def test_trial_profile_runs_a_toy_trial_stage_by_stage():
     peaks = [s["peak_rss_mb"] for s in stages]
     assert all(s["s"] >= 0 for s in stages) and peaks == sorted(peaks)
     # the harness's trial, here in-process: the same record
-    spec = importlib.util.spec_from_file_location("trial_profile", TRIAL_PROFILE)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load(TRIAL_PROFILE)
     rec = run_trial(script.config(200, 3), 200, 0)
     assert rec["epsilon"] == 200 ** -0.25 and rec["method"] == "pipeline"
     assert out["record"] == json.loads(json.dumps(
         {k: v for k, v in rec.items() if k not in UNDIGESTED}))
+
+
+def test_same_numbers_reports_every_converge_config_and_check_at_toy_size():
+    script = _load(SAME_NUMBERS)
+    out = script.same_numbers(seeds=(2,), toy=True)
+    assert list(out) == ["converge", "nonlocal_calculus"]
+    runs = out["converge"]["2"]
+    assert sorted(runs) == ["circle", "flat_torus_2", "sphere_2"]
+    assert all(len(r["digest"]) == 64 and len(r["rates_sha256"]) == 64
+               for r in runs.values())
+    plan = script._workloads().NonlocalCalculus.TOY
+    reports = out["nonlocal_calculus"]["2"]
+    assert [(r["name"], r["manifold"]) for r in reports] == [
+        ("bias_inequality" if kind == "bias" else "smoothing_chain", name)
+        for kind, name, _, _ in plan]
+    assert all(r["entries"] and isinstance(r["passed"], bool) for r in reports)
+    # plain JSON, and the same numbers from a second run
+    assert json.loads(json.dumps(out)) == out
+    assert script.same_numbers(seeds=(2,), toy=True) == out
