@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import proximity_graph
@@ -251,7 +250,9 @@ def _start_block(points):
     X = points - points.mean(axis=0)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     keep = s > s[:1] * max(X.shape) * np.finfo(float).eps
-    # lobpcg needs n - 1 >= 5 * block size to iterate under the constraint
+    # at most (n - 1) // 5 columns, the most scipy's LOBPCG could take next to
+    # the constant vector; lifting the cap would change the start block of a
+    # cloud with more coordinates than that
     U = U[:, keep][:, :(n - 1) // 5]
     if U.shape[1]:
         return U
@@ -259,39 +260,96 @@ def _start_block(points):
     return (idx / np.linalg.norm(idx))[:, None]
 
 
+def _deflate(Q, v):
+    """v less its part in the span of Q's orthonormal columns, taken off twice,
+    as (unit vector, coefficients taken off, norm before scaling). The norm is
+    0.0 when nothing of v is left, and the vector is then not scaled."""
+    before = np.linalg.norm(v)
+    c = Q.T @ v
+    v = v - Q @ c
+    c2 = Q.T @ v
+    v -= Q @ c2
+    nrm = float(np.linalg.norm(v))
+    if not nrm > 1e-10 * before:
+        return v, c + c2, 0.0
+    return v / nrm, c + c2, nrm
+
+
+def _lobpcg(L, X):
+    """Lowest eigenpair of the symmetric L in the complement of the constant
+    vector, by LOBPCG from the orthonormal, centred block X.
+
+    Each iteration takes the Rayleigh-Ritz pairs of the basis [X, p, r].
+    Only the lowest Ritz pair gets a residual r, centred, and a search
+    direction p, the move its vector made outside the previous block; the
+    rest of the block holds the near-degenerate lambda_2 cluster. So an
+    iteration costs one single-vector product with L, which takes the CSR
+    row kernel, faster than the CSC view for one vector and bit-equal to it.
+    p and r are made orthonormal to the basis before them, and a direction
+    with nothing left is dropped. The products of the block and of p are
+    updated with the basis. The iteration stops when
+    ``||Lv - lam v|| <= LOBPCG_TOL`` with Lv computed afresh, after
+    ``LOBPCG_MAXITER`` iterations, or when neither p nor r adds a direction.
+    Returns (v, ||Lv - lam v||, iterations).
+    """
+    n, k = X.shape
+    S = np.empty((n, k + 2), order="F")   # [block, p, r]
+    LS = np.empty((n, k + 2), order="F")  # L times each column of S
+    # the block product takes L's CSC view: the same floats as L @ X, faster
+    S[:, :k], LS[:, :k] = X, L.T @ X
+    m = k
+    for it in range(LOBPCG_MAXITER + 1):
+        vals, C = np.linalg.eigh(S[:, :m].T @ LS[:, :m])
+        lam = vals[0]
+        p, Lp = S[:, k:m] @ C[k:, 0], LS[:, k:m] @ C[k:, 0]
+        S[:, :k], LS[:, :k] = S[:, :m] @ C[:, :k], LS[:, :m] @ C[:, :k]
+        r = LS[:, 0] - lam * S[:, 0]
+        res = float(np.linalg.norm(r))
+        if not res > LOBPCG_TOL:
+            LS[:, 0] = L @ S[:, 0]
+            r = LS[:, 0] - lam * S[:, 0]
+            res = float(np.linalg.norm(r))
+            if not res > LOBPCG_TOL:
+                break
+        m = k
+        p, c, nrm = _deflate(S[:, :k], p)
+        if nrm:
+            S[:, m], LS[:, m] = p, (Lp - LS[:, :k] @ c) / nrm
+            m += 1
+        r, _, nrm = _deflate(S[:, :m], r - r.mean())
+        if nrm:
+            S[:, m], LS[:, m] = r, L @ r
+            m += 1
+        if m == k:
+            break
+    return S[:, 0].copy(), res, it
+
+
 def fiedler_vector(graph: ProximityGraph):
     """Second eigenvector of L = D - W, deflating the constant vector.
 
-    LOBPCG runs on a block started from the cloud's centred coordinates and
-    returns the lowest Ritz vector of the block. It is handed ``L.T``: L is
-    exactly symmetric, so its transpose is the same matrix as a CSC view of
-    the same arrays, with no copy. scipy's column kernel scatters each entry
-    into its output row and adds each row's products in the row kernel's
-    order, so every block product is bit-equal to ``L @ X``, and at 2-4
-    columns it runs faster. The one-vector residual keeps the row kernel.
+    Up to 128 vertices a dense ``eigh`` gives it. Above, ``_lobpcg`` iterates
+    the lowest Ritz vector of a block started from the cloud's centred
+    coordinates, and the constant vector stays out because every direction
+    is centred. Returns (v, ||Lv - lam v||); a solve that stops above
+    ``LOBPCG_TOL`` raises ``EigenNotConverged`` naming the iterations it ran,
+    with its residual last.
     """
     n = graph.n
     W = graph.adjacency
-    deg = graph.degrees
-    L = sp.diags(deg, dtype=float) - W
+    L = sp.diags(graph.degrees, dtype=float) - W
     if n <= 128:
         vals, vecs = np.linalg.eigh(L.toarray())
         v = vecs[:, 1]
         return v, float(np.linalg.norm(L @ v - vals[1] * v))
-    X = _start_block(graph.points)
-    Y = np.ones((n, 1)) / np.sqrt(n)
     try:
-        with np.errstate(all="ignore"):
-            vals, vecs = spla.lobpcg(L.T, X, Y=Y, tol=LOBPCG_TOL,
-                                     maxiter=LOBPCG_MAXITER, largest=False)
-    except Exception as exc:  # noqa: BLE001 - surfaced as a typed error
-        raise EigenNotConverged(f"lobpcg failed: {exc}") from exc
-    v = vecs[:, 0]
-    lam = float(vals[0])
-    res = float(np.linalg.norm(L @ v - lam * v))
-    if not np.isfinite(res) or res > 1e-5 * max(1.0, float(deg.max())):
-        raise EigenNotConverged(
-            f"Fiedler iteration did not converge: residual {res:.3g}")
+        v, res, its = _lobpcg(L, _start_block(graph.points))
+    except np.linalg.LinAlgError as exc:
+        raise EigenNotConverged(f"Fiedler iteration failed: {exc}") from exc
+    if not res <= LOBPCG_TOL:
+        raise EigenNotConverged(f"Fiedler iteration stopped after {its} of at "
+                                f"most {LOBPCG_MAXITER} iterations: "
+                                f"residual {res:.3g}")
     return v, res
 
 

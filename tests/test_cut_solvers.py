@@ -429,29 +429,30 @@ def test_block_sweep_matches_the_dense_fiedler_sweep(name, eps, n, seed):
 
 @pytest.mark.parametrize("name", ["sphere_2", "flat_torus_2"])
 def test_eigen_solve_converges_without_a_stall(name, monkeypatch):
-    # a random one-vector start stalls at the iteration limit on the sphere
-    # cloud (LOBPCG seed 1) and needs 475 iterations on the torus cloud (seed 0)
-    histories = []
-    real = spla.lobpcg
+    # scipy's LOBPCG from a random one-vector start stalls at the iteration
+    # limit on the sphere cloud (seed 1) and needs 475 iterations on the
+    # torus cloud (seed 0)
+    counts = []
+    real = cut_solvers._lobpcg
 
-    def lobpcg(*args, **kwargs):
-        vals, vecs, history = real(*args, retResidualNormsHistory=True, **kwargs)
-        histories.append(history)
-        return vals, vecs
+    def lobpcg(L, X):
+        v, res, its = real(L, X)
+        counts.append(its)
+        return v, res, its
 
-    monkeypatch.setattr(spla, "lobpcg", lobpcg)
+    monkeypatch.setattr(cut_solvers, "_lobpcg", lobpcg)
     n = 8000
     g = build_graph(get_manifold(name).sample(n, seed=1), 2 * n ** -0.3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, res = fiedler_vector(g)
     assert res <= LOBPCG_TOL
-    # one residual row for the start, each iteration and the final Ritz step
-    assert len(histories) == 1 and len(histories[0]) < 100
+    assert len(counts) == 1 and counts[0] < 100
 
 
 # L = D - W is exactly symmetric, so its CSC view L.T multiplies bit for bit
-# as the CSR L does, and LOBPCG on the view returns the row kernel's floats
+# as the CSR L does; the solve takes the block product on the view, and its
+# answer is scipy's LOBPCG answer on the same start block
 @pytest.mark.parametrize("name,n,eps,seed", [("circle", 300, 0.1, 7),
                                              ("flat_torus_2", 900, 0.2, 8),
                                              ("sphere_2", 1500, 0.2, 9)])
@@ -461,16 +462,57 @@ def test_column_view_solve_is_bit_equal_to_the_row_kernel(name, n, eps, seed):
     X = _start_block(g.points)
     for block in (np.ascontiguousarray(X), np.asfortranarray(X)):
         assert np.array_equal(L.T @ block, L @ block)
-    # lobpcg overwrites its start block in place, and the block's memory
-    # order changes its floats, so this run gets a copy in the same order
+    # the reference: scipy's block LOBPCG under the constant-vector
+    # constraint, on a copy of the start block, which it overwrites
     Y = np.ones((n, 1)) / np.sqrt(n)
     with np.errstate(all="ignore"):
-        vals, vecs = spla.lobpcg(L, X.copy(order="K"), Y=Y, tol=LOBPCG_TOL,
+        vals, vecs = spla.lobpcg(L, X.copy(), Y=Y, tol=LOBPCG_TOL,
                                  maxiter=LOBPCG_MAXITER, largest=False)
     want = vecs[:, 0]
     v, res = fiedler_vector(g)
-    assert np.array_equal(v, want)
-    assert res == float(np.linalg.norm(L @ want - vals[0] * want))
+    assert res <= LOBPCG_TOL
+    assert v @ (L @ v) == pytest.approx(vals[0], rel=1e-10, abs=0)
+    assert abs(v @ want) >= 1 - 1e-12
+    # twins, vertices with one closed neighbourhood, have equal entries in
+    # every such eigenvector, so only rounding orders them; on the circle
+    # cloud a pair of twins straddles the best cut
+    twin = np.unique((g.adjacency + sp.identity(n)).toarray(), axis=0,
+                     return_inverse=True)[1]
+    sweep = [canonical_subset(n, o[:_best_sweep_k(g, o)])
+             for o in (np.argsort(v, kind="stable"), np.argsort(want, kind="stable"))]
+    assert np.array_equal(*(np.sort(twin[s]) for s in sweep))
+    assert objective(g, sweep[0]) == objective(g, sweep[1])
+
+
+def lattice_torus_cloud(k):
+    """The k x k lattice on the flat torus: its lambda_2 is four-fold."""
+    mf = get_manifold("flat_torus_2")
+    t = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1)
+    return PointCloud(points=mf.to_ambient(t.reshape(-1, 2) / k), seed=0, manifold=mf)
+
+
+def antipodal_sphere_cloud(n_half, seed):
+    mf = get_manifold("sphere_2")
+    half = mf.sample(n_half, seed=seed).points
+    return PointCloud(points=np.vstack([half, -half]), seed=seed, manifold=mf)
+
+
+# exactly degenerate lambda_2: the lattice's coordinates are eigenvectors, so
+# the start block has converged before the first iteration; and a sphere
+# cloud symmetric under x -> -x
+@pytest.mark.parametrize("cloud,eps", [(lattice_torus_cloud(16), 2.5 / 16),
+                                       (lattice_torus_cloud(20), 2.5 / 20),
+                                       (lattice_torus_cloud(24), 2.5 / 24),
+                                       (antipodal_sphere_cloud(300, 3), 0.2)])
+def test_eigen_solve_on_degenerate_clouds_returns_lambda_2(cloud, eps):
+    g = build_graph(cloud, eps)
+    L = sp.diags(g.degrees, dtype=float) - g.adjacency
+    lam2 = np.linalg.eigvalsh(L.toarray())[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, res = fiedler_vector(g)
+    assert g.n > 128 and res <= LOBPCG_TOL
+    assert v @ (L @ v) == pytest.approx(lam2, rel=1e-9, abs=0)
 
 
 def test_spectral_sweep_on_a_graph_loaded_without_its_cloud(tmp_path):
@@ -575,10 +617,11 @@ def test_an_eigen_solve_that_stops_early_names_its_residual(monkeypatch, tmp_pat
     n = 2000
     g = build_graph(get_manifold("flat_torus_2").sample(n, seed=1), 2 * n ** -0.3)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # lobpcg warns that it stopped early
+        warnings.simplefilter("error")
         with pytest.raises(EigenNotConverged) as caught:
             fiedler_vector(g)
         res = solve_pipeline(g)
+    assert "after 1 of at most 1 iterations" in str(caught.value)
     residual = float(re.search(r"residual (\S+)$", str(caught.value)).group(1))
     assert residual > 1e-5 * g.degrees.max()
     assert res.extras["degraded"] and res.extras["eigen_residual"] is None
