@@ -354,7 +354,8 @@ def fiedler_vector(graph: ProximityGraph):
 
 
 def solve_spectral_sweep(graph: ProximityGraph) -> CutResult:
-    """Best Cheeger ratio among the n-1 threshold cuts of the Fiedler vector."""
+    """Best Cheeger ratio among the n-1 threshold cuts of the Fiedler vector,
+    with the twins it splits placed by index (``_sweep_subset``)."""
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
@@ -366,10 +367,37 @@ def solve_spectral_sweep(graph: ProximityGraph) -> CutResult:
         return result_from_subset(graph, reached, solver="spectral_sweep",
                                   extras={"disconnected": True})
     v, res = fiedler_vector(graph)
-    order = np.argsort(v, kind="stable")
-    return result_from_subset(graph, order[:_best_sweep_k(graph, order)],
+    return result_from_subset(graph, _sweep_subset(graph, v),
                               solver="spectral_sweep",
                               extras={"eigen_residual": res})
+
+
+def _sweep_subset(graph, v):
+    """Canonical best threshold cut of v, with each twin class it splits
+    filled on vertex 0's side from its lowest indices.
+
+    Twins, vertices of one closed neighbourhood, have equal entries in every
+    eigenvector of L, so only the solver's rounding (or v's sign) orders
+    them; swapping two twins maps the graph to itself, so the cut scores the
+    same. Each vertex's key sums integer weights below 2^53 / n over its
+    closed neighbourhood, exactly in any order, so twins share a key; the
+    vertices of a key the cut splits are grouped by closed neighbourhood.
+    """
+    n = graph.n
+    order = np.argsort(v, kind="stable")
+    mask = _as_mask(n, canonical_subset(n, order[:_best_sweep_k(graph, order)]))
+    A = graph.adjacency
+    r = np.random.default_rng(0).integers(2 ** 53 // n, size=n).astype(float)
+    _, inv, counts = np.unique(A @ r + r, return_inverse=True, return_counts=True)
+    inside = np.bincount(inv, weights=mask)
+    classes = {}
+    for a in np.flatnonzero(((inside > 0) & (inside < counts))[inv]):
+        closed = np.sort(np.append(A.indices[A.indptr[a]:A.indptr[a + 1]], a))
+        classes.setdefault(closed.tobytes(), []).append(a)
+    for members in classes.values():
+        # members ascend; the side of vertex 0 keeps as many as it had
+        mask[members] = np.arange(len(members)) < mask[members].sum()
+    return np.flatnonzero(mask)
 
 
 def _best_sweep_k(graph, order):

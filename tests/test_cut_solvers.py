@@ -17,6 +17,7 @@ from cheeger_lab.proximity_graph import (ProximityGraph, build_graph,
 from cheeger_lab.cut_solvers import (CERTIFICATES, LOBPCG_MAXITER, LOBPCG_TOL,
                                      LOCAL_SEARCH_PASSES,
                                      _best_sweep_k, _lex_min_id, _start_block,
+                                     _sweep_subset,
                                      canonical_subset, fiedler_vector,
                                      refine_local_search, result_from_subset,
                                      solve_arc_sweep, solve_exact,
@@ -416,9 +417,11 @@ def dense_sweep_subset(graph):
     return canonical_subset(graph.n, order[:_best_sweep_k(graph, order)])
 
 
-# above the dense cut-off of 128 vertices, so the block LOBPCG path runs
+# above the dense cut-off of 128 vertices, so the block LOBPCG path runs;
+# sphere_2 at 0.5 links most pairs (max degree 337 of 399 at n = 400), where
+# the absolute LOBPCG_TOL is the tightest against ||L||
 @pytest.mark.parametrize("name,eps", [("circle", 0.1), ("flat_torus_2", 0.25),
-                                      ("sphere_2", 0.25)])
+                                      ("sphere_2", 0.25), ("sphere_2", 0.5)])
 @pytest.mark.parametrize("n,seed", [(129, 1), (250, 2), (400, 3)])
 def test_block_sweep_matches_the_dense_fiedler_sweep(name, eps, n, seed):
     g = build_graph(get_manifold(name).sample(n, seed=seed), eps)
@@ -473,15 +476,33 @@ def test_column_view_solve_is_bit_equal_to_the_row_kernel(name, n, eps, seed):
     assert res <= LOBPCG_TOL
     assert v @ (L @ v) == pytest.approx(vals[0], rel=1e-10, abs=0)
     assert abs(v @ want) >= 1 - 1e-12
-    # twins, vertices with one closed neighbourhood, have equal entries in
-    # every such eigenvector, so only rounding orders them; on the circle
-    # cloud a pair of twins straddles the best cut
+    # the sweep fills a twin class it splits by index, so the twins that
+    # straddle the best cut of the circle cloud take one side for either vector
+    sweep = [_sweep_subset(g, u) for u in (v, want)]
+    assert np.array_equal(*sweep)
+
+
+def test_sweep_fills_a_split_twin_class_by_index():
+    # on this circle cloud twins 13 and 135 straddle the best cut; swapping
+    # their entries, or flipping v's sign, must not move the sweep's subset
+    n = 300
+    g = build_graph(get_manifold("circle").sample(n, seed=7), 0.1)
+    v, _ = fiedler_vector(g)
     twin = np.unique((g.adjacency + sp.identity(n)).toarray(), axis=0,
-                     return_inverse=True)[1]
-    sweep = [canonical_subset(n, o[:_best_sweep_k(g, o)])
-             for o in (np.argsort(v, kind="stable"), np.argsort(want, kind="stable"))]
-    assert np.array_equal(*(np.sort(twin[s]) for s in sweep))
-    assert objective(g, sweep[0]) == objective(g, sweep[1])
+                     return_inverse=True)[1].ravel()
+    order = np.argsort(v, kind="stable")
+    raw = canonical_subset(n, order[:_best_sweep_k(g, order)])
+    split = [t for t in np.unique(twin)
+             if 0 < np.isin(np.flatnonzero(twin == t), raw).sum() < (twin == t).sum()]
+    assert len(split) == 1
+    a, b = np.flatnonzero(twin == split[0])
+    swapped = v.copy()
+    swapped[[a, b]] = v[[b, a]]
+    want = _sweep_subset(g, v)
+    assert a in want and b not in want
+    assert objective(g, want) == objective(g, raw)
+    for u in (swapped, -v, -swapped):
+        assert np.array_equal(_sweep_subset(g, u), want)
 
 
 def lattice_torus_cloud(k):
