@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -274,7 +275,10 @@ class UStatReport:
 
 def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
                         trials, seed) -> UStatReport:
-    """Mean/std/exceedance of GTV of a fixed function over random clouds."""
+    """Mean/std/exceedance of GTV of a fixed function over random clouds.
+
+    Each n's epsilon must be a positive finite number no larger than the
+    manifold's ``epsilon0``, as in a converge config (``ConfigError``)."""
     if f.tv_exact is None:
         raise ValueError("requires a function with known total variation")
     if trials < 2:
@@ -289,12 +293,23 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
     repeated = values[counts > 1].tolist()
     if repeated:
         raise ConfigError(f"n_list repeats n: {repeated}")
+    # every epsilon is checked before a cloud is sampled, as `converge` does
+    epsilons = [float(epsilon_rule(n)) if callable(epsilon_rule) else float(epsilon_rule)
+                for n in n_list]
+    errors = []
+    for n, eps in zip(n_list, epsilons):
+        if not (math.isfinite(eps) and eps > 0.0):
+            errors.append(f"epsilon(n={n}) = {eps!r} is not a positive finite number")
+        elif eps > manifold.epsilon0:
+            errors.append(f"epsilon(n={n}) = {eps:.4g} exceeds the manifold "
+                          f"limit {manifold.epsilon0}")
+    if errors:
+        raise ConfigError(errors)
     sigma = surface_tension(manifold.m)
     tv = f.tv_exact
     rep = UStatReport(manifold=manifold.name, tv=tv)
     rng = np.random.default_rng(seed)
-    for n in n_list:
-        eps = float(epsilon_rule(n)) if callable(epsilon_rule) else float(epsilon_rule)
+    for n, eps in zip(n_list, epsilons):
         vals = np.empty(trials)
         for t in range(trials):
             cloud = manifold.sample(n, seed=int(rng.integers(2 ** 62)))

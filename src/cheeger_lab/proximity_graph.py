@@ -1,8 +1,11 @@
 """Epsilon-proximity graphs and the rescaled graph functionals.
 
 Edges connect points at ambient Euclidean distance <= epsilon (indicator
-kernel), excluding self loops. The graph total variation of a vertex
-function u is
+kernel), excluding self loops: the pairs that a k-d tree's range search
+keeps, dx*dx + dy*dy + ... <= epsilon*epsilon. On a circle cloud they are
+found from the angular order, each vertex's forward window (``_edges_circle``);
+elsewhere by the tree (``_edges_kdtree``). The graph total variation of a
+vertex function u is
 
     GTV(u) = (1 / (n^2 eps^{m+1})) * sum_{i,j} w_ij |u_i - u_j|,
 
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
-from .manifold import is_int, read_sidecar
+from .manifold import Circle, is_int, read_sidecar
 
 # Elements per block of every pass over the edge list, of the arc lengths of
 # the arc sweep and of the kernel-pair sums of Lambda_a and zonal TV_h: a cache
@@ -36,6 +39,9 @@ from .manifold import is_int, read_sidecar
 # pairs a block against 0.75 s with 1 M), and the memory a pass takes beyond
 # the graph's own arrays is bounded, whatever the number of edges or pairs.
 BLOCK = 65_536
+# The margin of the circle's windows: relative in the chord, and absolute in
+# turns of the angular gaps (arctan2 and the sums round them by ~1e-15)
+_TOL = 1e-12
 
 
 @dataclass
@@ -129,7 +135,15 @@ class ProximityGraph:
 
 
 def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
-    """Build the epsilon-graph with a k-d tree range search."""
+    """Build the epsilon-graph: the pairs of a k-d tree range search.
+
+    A cloud on a ``Circle`` gets them from its angular order
+    (``_edges_circle``), with no tree, position-major: each vertex's
+    forward window in angular order, vertex by vertex around the circle.
+    Raw point arrays and clouds on other manifolds get the tree's pairs in
+    the tree's order. Either way each pair is one row, i < j, and the edge
+    set is the same, ties included; no reader depends on the row order.
+    """
     cloud = None
     if hasattr(points_or_cloud, "points") and hasattr(points_or_cloud, "manifold"):
         cloud = points_or_cloud
@@ -143,7 +157,10 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
         if m is None:
             raise ValueError("m required when building from a raw point array")
     _check_parameters(epsilon, m, points.shape[0], cloud)
-    edges = _edges_kdtree(points, epsilon)
+    if cloud is not None and isinstance(cloud.manifold, Circle):
+        edges = _edges_circle(points, float(epsilon), cloud.manifold)
+    else:
+        edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
                           edges=edges, cloud=cloud)
 
@@ -189,6 +206,109 @@ def _edges_kdtree(points, eps):
         return np.empty((0, 2), dtype=np.int64)
     pairs = cKDTree(points).query_pairs(eps, output_type="ndarray")
     return np.array(pairs, dtype=np.int64)
+
+
+def _edges_circle(points, eps, circle):
+    """The pairs of ``_edges_kdtree`` on a cloud of ``circle``, i < j,
+    position-major: each vertex's forward window, in angular order, vertex
+    by vertex around the circle (a one-dimensional sort-and-sweep).
+
+    Two points at radii within delta of R, a forward angular gap of g turns
+    apart, lie between 2 (R - delta) sin(pi g) and
+    2 delta + 2 (R + delta) sin(pi g) apart. So each vertex's forward lags
+    (its successors in angular order) split into the lags 1..lo whose pairs
+    surely pass the tree's test dx*dx + dy*dy <= eps*eps, the lags up to hi
+    on which the test is run, and the rest, which surely fail it. The
+    margins are taken in the chord, where sin(pi g) is flat near g = 1/2,
+    and in the gap, for the rounding of arctan2 and of the sums (``_TOL``).
+    Where the candidate window reaches half a turn (pi eps near or above 1)
+    every pair is a candidate: the lags up to (n - 1) // 2, and n / 2 from
+    the first half of an even n, give each pair once. Beyond the O(n)
+    windows, the temporaries are chunks of about ``BLOCK`` lags.
+    """
+    n = len(points)
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    t = circle.to_intrinsic(points)
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    # gaps of lags that wrap past angle 0 need no modulo
+    t2 = np.concatenate([t, t + 1.0])
+    first = np.arange(1, n + 1)
+
+    def window(g):
+        """Per position, the forward lags of gap <= g turns."""
+        return np.searchsorted(t2, t + g, side="right") - first
+
+    r = circle.radius
+    # a NaN residual makes every pair a candidate and none sure
+    delta = float(circle.on_manifold_residual(points).max()) + _TOL * r
+    s_out = eps * (1.0 + _TOL) / (2.0 * (r - delta)) if delta < r else math.inf
+    s_in = (eps * (1.0 - _TOL) - 2.0 * delta) / (2.0 * (r + delta)) * (1.0 - _TOL)
+    g_out = math.asin(s_out) / math.pi + _TOL if s_out < 1.0 else math.inf
+    # a window short of half a turn holds no pair that the other end's holds
+    if g_out < 0.5 - _TOL:
+        hi = window(g_out)
+    else:
+        hi = np.full(n, (n - 1) // 2)
+        hi[:n // 2] += 1 - n % 2
+    if s_in >= 1.0:
+        lo = hi
+    elif s_in > 0.0:
+        lo = np.clip(window(math.asin(s_in) / math.pi - _TOL), 0, hi)
+    else:
+        lo = np.zeros(n, dtype=hi.dtype)
+
+    order2 = np.concatenate([order, order])
+    x, y = points[:, 0], points[:, 1]
+    eps2 = eps * eps
+
+    def within(i, j):
+        """The tree's test, in its order of operations."""
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        return dx * dx + dy * dy <= eps2
+
+    # the passing lags of the band lo < lag <= hi, per position
+    count = lo.astype(np.int64)
+    for p0, p1, c, q in _lag_chunks(lo, hi):
+        p = np.repeat(np.arange(p0, p1), c)
+        count[p0:p1] += np.bincount(p[within(order[p], order2[q])] - p0,
+                                    minlength=p1 - p0)
+    edges = np.empty((int(count.sum()), 2), dtype=np.int64)
+    row = 0
+    for p0, p1, c, q in _lag_chunks(np.zeros_like(hi), hi):
+        i, j = np.repeat(order[p0:p1], c), order2[q]
+        if (hi[p0:p1] > lo[p0:p1]).any():
+            # lags 1..lo of each position are kept; those past them are tested
+            keep = np.arange(len(q)) < np.repeat(np.cumsum(c) - c + lo[p0:p1], c)
+            band = np.flatnonzero(~keep)
+            keep[band] = within(i[band], j[band])
+            i, j = i[keep], j[keep]
+        rows = edges[row:row + len(i)]
+        np.minimum(i, j, out=rows[:, 0])
+        np.maximum(i, j, out=rows[:, 1])
+        row += len(i)
+    return edges
+
+
+def _lag_chunks(lo, hi):
+    """The lags lo[p] < lag <= hi[p] of every position p, position-major,
+    in chunks of consecutive positions p0..p1 - 1 that hold about ``BLOCK``
+    lags (at most ``BLOCK`` plus one position's): yields (p0, p1, the
+    positions' lag counts, the positions p + lag)."""
+    count = hi - lo
+    cum = np.concatenate(([0], np.cumsum(count)))
+    # the position that holds each BLOCK-th lag starts a chunk
+    starts = np.searchsorted(cum, np.arange(0, cum[-1], BLOCK), side="right") - 1
+    bounds = np.unique(np.concatenate(([0], starts, [len(lo)])))
+    for p0, p1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        c = count[p0:p1]
+        if cum[p1] == cum[p0]:
+            continue
+        # lag lo[p] + 1 of position p sits at p's first slot of the chunk
+        step = np.arange(p0, p1) + lo[p0:p1] + 1 - (cum[p0:p1] - cum[p0])
+        yield p0, p1, c, np.arange(cum[p1] - cum[p0]) + np.repeat(step, c)
 
 
 def _edge_blocks(graph):

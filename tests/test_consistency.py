@@ -374,6 +374,23 @@ def test_ustat_refuses_a_repeated_n():
         ustat_concentration(CIRCLE, f, [50, 100, 50], 0.1, trials=3, seed=0)
 
 
+def test_ustat_refuses_an_epsilon_above_the_manifold_limit(monkeypatch):
+    # converge refuses it too; each offending n is named, and no cloud is sampled
+    def sample(n, seed):
+        raise AssertionError("sampled before the epsilon check")
+
+    monkeypatch.setattr(CIRCLE, "sample", sample)
+    f = indicator_function(CIRCLE.default_minimizer())
+    with pytest.raises(ConfigError) as info:
+        ustat_concentration(CIRCLE, f, [4, 9, 100], lambda n: n ** -0.5,
+                            trials=2, seed=1)
+    assert info.value.errors == [
+        "epsilon(n=4) = 0.5 exceeds the manifold limit 0.25",
+        "epsilon(n=9) = 0.3333 exceeds the manifold limit 0.25"]
+    with pytest.raises(ConfigError, match=r"epsilon\(n=50\) = 0.0 is not a positive"):
+        ustat_concentration(CIRCLE, f, [50], 0.0, trials=2, seed=1)
+
+
 def test_cut_l1_error_on_planted_instance():
     rng = np.random.default_rng(6)
     t = np.concatenate([rng.random(9) * 0.3, 0.5 + rng.random(9) * 0.3])

@@ -479,6 +479,18 @@ def test_cli_ustat_refuses_a_repeated_n(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["4,9", "9,200"])
+def test_cli_ustat_refuses_an_epsilon_above_the_manifold_limit(tmp_path, capsys, n):
+    # epsilon = n^(-1/2) exceeds the circle's 0.25 below n = 16, as in converge
+    out = tmp_path / "ustat.json"
+    assert cli.main(["--seed", "1", "--out", str(out), "ustat", "--manifold", "circle",
+                     "--n", n, "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: epsilon(n=9) = 0.3333 exceeds the manifold limit 0.25" in err
+    assert ("epsilon(n=4) = 0.5" in err) == n.startswith("4")
+    assert not out.exists()
+
+
 def test_readme_cli_lines_parse():
     # every `cheeger-lab` line of the README's CLI block, continuations joined
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -409,6 +409,7 @@ def test_manifold_isinstance_sites_guard_only_circle_algorithms_and_grids():
         ("cut_solvers", "solve_arc_sweep"),
         ("cut_solvers", "solve_pipeline"),
         ("harness", "run_trial"),
+        ("proximity_graph", "build_graph"),
         ("quadrature", "build_grid"),
         ("quadrature", "grid_for_scale"),
     ]

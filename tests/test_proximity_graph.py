@@ -17,8 +17,9 @@ from cheeger_lab import cli, nonlocal_tv, proximity_graph
 from cheeger_lab.cut_solvers import (_best_sweep_k, refine_local_search,
                                      result_from_subset, solve_arc_sweep,
                                      solve_exact)
-from cheeger_lab.manifold import get_manifold
-from cheeger_lab.proximity_graph import (ProximityGraph, _key_sorted,
+from cheeger_lab.manifold import PointCloud, get_manifold
+from cheeger_lab.proximity_graph import (ProximityGraph, _edges_circle,
+                                         _edges_kdtree, _key_sorted,
                                          build_graph, cheeger_ratio,
                                          cut_and_balance, cut_size, gtv,
                                          objective)
@@ -71,6 +72,73 @@ def test_edges_match_brute_force(name, eps):
     # the tree's order: as a set, each pair once, i < j on every row
     assert (g.edges[:, 0] < g.edges[:, 1]).all()
     assert np.array_equal(int64_key_sorted(g.edges, g.n), oracle)
+
+
+def _circle_cloud(kind, n, seed):
+    """A circle cloud of n points: sampled, the lattice k/n, sampled points
+    each taken twice (equal angles), sampled with a point at angle 0 and one
+    whose intrinsic coordinate wraps to 1.0, or sampled and moved off the
+    circle by up to the 1e-9 that a loaded cloud may be."""
+    mf = get_manifold("circle")
+    if kind == "lattice":
+        points = mf.to_ambient(np.arange(n) / n)
+    elif kind == "duplicated":
+        points = np.repeat(mf.sample((n + 1) // 2, seed=seed).points, 2, axis=0)[:n]
+    elif kind == "off":
+        points = mf.sample(n, seed=seed).points
+        points *= 1.0 + 6e-9 * np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1))
+    elif kind == "wrap":
+        points = np.concatenate([mf.to_ambient(np.array([0.0, -1e-17])),
+                                 mf.sample(n, seed=seed).points])[:n]
+    else:
+        points = mf.sample(n, seed=seed).points
+    return PointCloud(points=points, seed=seed, manifold=mf)
+
+
+# the lattice of 12 points: the chord of its lag-1 pairs, which tie in
+# exact arithmetic but not in floats, passes some and fails others
+_LATTICE_12 = get_manifold("circle").to_ambient(np.arange(12) / 12)
+_CHORD_12 = float(np.sqrt(((_LATTICE_12[0] - _LATTICE_12[1]) ** 2).sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sampled", "lattice", "duplicated", "wrap", "off"]),
+       st.integers(min_value=2, max_value=3000),
+       # log-uniform in [1e-9, 0.8]: every decade of epsilon, few complete graphs
+       st.floats(min_value=-9.0, max_value=math.log10(0.8)).map(lambda u: 10.0 ** u),
+       st.integers(0, 10_000))
+@example("lattice", 12, _CHORD_12, 0)
+@example("lattice", 12, float(np.nextafter(_CHORD_12, 0.0)), 0)
+@example("lattice", 12, float(np.nextafter(_CHORD_12, 1.0)), 0)
+@example("lattice", 4, 0.5, 0)  # a complete graph with a lag of n/2
+@example("lattice", 6, 0.4, 0)
+@example("sampled", 10, 1 / math.pi, 3)
+@example("duplicated", 200, 0.01, 5)
+@example("duplicated", 7, 1e-9, 2)
+@example("wrap", 50, 0.02, 4)
+@example("wrap", 2, 1e-9, 1)
+@example("off", 300, 0.05, 8)
+@example("sampled", 2, 0.3, 6)
+@example("sampled", 3, 0.8, 7)
+def test_circle_windows_give_the_tree_pairs(kind, n, eps, seed):
+    """On a circle cloud `build_graph` lists the pairs from the angular
+    windows: the edge set of the k-d tree's pairs, ties included, each pair
+    once as a row i < j, in one exact-size int64 array."""
+    cloud = _circle_cloud(kind, n, seed)
+    if kind == "wrap":
+        t = cloud.manifold.to_intrinsic(cloud.points[:2])
+        assert t[0] == 0.0 and t[1] == 1.0
+    edges = build_graph(cloud, eps).edges
+    assert np.array_equal(edges, _edges_circle(cloud.points, eps, cloud.manifold))
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    assert edges.nbytes == 16 * len(edges)
+    assert (edges[:, 0] < edges[:, 1]).all()
+    keys = edges[:, 0] * n + edges[:, 1]
+    assert len(np.unique(keys)) == len(edges)
+    tree = _edges_kdtree(cloud.points, eps)
+    assert np.array_equal(int64_key_sorted(edges, n), int64_key_sorted(tree, n))
+    if eps * math.pi > 1.0 + 1e-9:  # every chord is shorter
+        assert len(edges) == n * (n - 1) // 2
 
 
 def test_gtv_matches_brute_force():

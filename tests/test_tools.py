@@ -45,7 +45,7 @@ def test_trial_profile_runs_a_toy_trial_stage_by_stage():
 def test_same_numbers_reports_every_converge_config_and_check_at_toy_size():
     script = _load(SAME_NUMBERS)
     out = script.same_numbers(seeds=(2,), toy=True)
-    assert list(out) == ["converge", "nonlocal_calculus"]
+    assert list(out) == ["converge", "nonlocal_calculus", "ustat_gtv"]
     runs = out["converge"]["2"]
     assert sorted(runs) == ["circle", "flat_torus_2", "sphere_2"]
     assert all(len(r["digest"]) == 64 and len(r["rates_sha256"]) == 64
@@ -56,6 +56,13 @@ def test_same_numbers_reports_every_converge_config_and_check_at_toy_size():
         ("bias_inequality" if kind == "bias" else "smoothing_chain", name)
         for kind, name, _, _ in plan]
     assert all(r["entries"] and isinstance(r["passed"], bool) for r in reports)
+    # the GTV round: an entry per n, and the edges of all its graphs
+    ustat = out["ustat_gtv"]["2"]
+    work = script._workloads().UstatGtv(2, ROOT, toy=True)
+    assert [e["n"] for e in ustat["entries"]] == work.n_list
+    assert all(set(e) == {"n", "epsilon", "mean", "std", "exceedance"}
+               for e in ustat["entries"])
+    assert isinstance(ustat["edges"], int) and ustat["edges"] > 0
     # plain JSON, and the same numbers from a second run
     assert json.loads(json.dumps(out)) == out
     assert script.same_numbers(seeds=(2,), toy=True) == out
