@@ -233,9 +233,9 @@ def _ball_site(ind, grid, r, exterior):
 def _ball_site_circle(fvals, grid, r, exterior):
     """Place the arc flush against a set boundary so perimeter is preserved."""
     manifold = grid.manifold
-    order = np.argsort(manifold.to_intrinsic(grid.nodes), kind="stable")
-    t = manifold.to_intrinsic(grid.nodes)[order]
-    vals = fvals[order]
+    t = manifold.to_intrinsic(grid.nodes)
+    order = np.argsort(t, kind="stable")
+    t, vals = t[order], fvals[order]
     n = len(t)
     trans = np.flatnonzero(vals != np.roll(vals, 1))
     if not len(trans):

@@ -7,9 +7,9 @@ The discrete Cheeger problem is NP-hard, so we provide:
 * ``solve_spectral_sweep``-- Fiedler-vector threshold sweep;
 * ``refine_local_search`` -- greedy single-vertex moves, each one lowering
   the ratio;
-* ``solve_pipeline``      -- one start cut followed by local search: the arc
-  sweep on a circle cloud, the spectral sweep on any other graph; this
-  upper-bounds the true minimum.
+* ``solve_pipeline``      -- one start cut, refined by local search unless a
+  solver certified it: the arc sweep on a circle cloud, the spectral sweep
+  on any other graph; this upper-bounds the true minimum.
 
 Every solver scores a cut with ``proximity_graph.cheeger_ratio``, so a set
 and its complement score the same float, and returns it through
@@ -250,10 +250,7 @@ def _start_block(points):
     X = points - points.mean(axis=0)
     U, s, _ = np.linalg.svd(X, full_matrices=False)
     keep = s > s[:1] * max(X.shape) * np.finfo(float).eps
-    # at most (n - 1) // 5 columns, the most scipy's LOBPCG could take next to
-    # the constant vector; lifting the cap would change the start block of a
-    # cloud with more coordinates than that
-    U = U[:, keep][:, :(n - 1) // 5]
+    U = U[:, keep]
     if U.shape[1]:
         return U
     idx = np.arange(n) - (n - 1) / 2.0
@@ -425,25 +422,15 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 
     Each move flips the first vertex whose flip scores least, while that is
     strictly below the current ratio, for at most ``LOCAL_SEARCH_PASSES * n``
-    moves; a search that moves nothing returns ``start`` itself. A graph
-    that holds no CSR yet (the circle pipeline's) scores the start off its
-    edge list and builds the CSR only to apply a move.
+    moves; a search that moves nothing returns ``start`` itself. Degrees
+    and inside neighbours are read off the CSR adjacency, which a graph
+    builds on first access.
     """
     n = graph.n
     mask = _as_mask(n, start.subset)
-    if graph._adj is None:
-        deg = np.zeros(n, dtype=np.int64)
-        d_out = np.zeros(n, dtype=np.int64)
-        for block in _edge_blocks(graph):
-            deg += np.bincount(block.ravel(), minlength=n)
-            # a vertex's crossing edges are its neighbours on the other side
-            crossing = block[mask[block[:, 0]] != mask[block[:, 1]]]
-            d_out += np.bincount(crossing.ravel(), minlength=n)
-        d_in = np.where(mask, deg - d_out, d_out)
-    else:
-        deg = graph.degrees
-        d_in = graph.adjacency @ mask.astype(float)
-        d_in = d_in.astype(np.int64)
+    A = graph.adjacency
+    deg = graph.degrees
+    d_in = (A @ mask.astype(float)).astype(np.int64)
     # each inside vertex contributes deg - d_in crossing edges
     cut = int(np.sum(deg[mask] - d_in[mask]))
     size = int(mask.sum())
@@ -457,8 +444,6 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
         v = int(np.argmin(vals))
         if not vals[v] < cur:
             break
-        # apply the move; the first one builds the CSR on a fresh graph
-        A = graph.adjacency
         nb = A.indices[A.indptr[v]:A.indptr[v + 1]]
         if mask[v]:
             mask[v] = False
@@ -482,11 +467,14 @@ def refine_local_search(graph: ProximityGraph, start: CutResult) -> CutResult:
 # ---------------------------------------------------------------------------
 
 def solve_pipeline(graph: ProximityGraph) -> CutResult:
-    """Default estimator: one start cut, then local search.
+    """Default estimator: one start cut, refined by local search unless a
+    solver certified it.
 
     A circle cloud starts from the arc sweep, exact over every arc, so no
-    eigen solve runs there. Any other graph starts from the spectral sweep,
-    or from the trivial cut [0] when the eigen solve fails (``degraded``).
+    eigen solve runs there; its cut is the answer unless gaps in the edge
+    windows left it ``Heuristic``. Any other graph starts from the spectral
+    sweep, or from the trivial cut [0] when the eigen solve fails
+    (``degraded``), and both are refined.
     """
     if graph.cloud is not None and isinstance(graph.cloud.manifold, Circle):
         start = solve_arc_sweep(graph)
@@ -495,8 +483,10 @@ def solve_pipeline(graph: ProximityGraph) -> CutResult:
             start = solve_spectral_sweep(graph)
         except EigenNotConverged:
             start = result_from_subset(graph, [0], solver="fallback")
-    # a search that moves nothing returns its start, whose solver then wins
-    cut = refine_local_search(graph, start)
+    cut = start
+    if start.certificate == "Heuristic":
+        # a search that moves nothing returns its start, whose solver then wins
+        cut = refine_local_search(graph, start)
     # the residual is None where the solve failed or did not run
     return replace(cut, solver="pipeline", certificate="Heuristic",
                    extras={"degraded": start.solver == "fallback",

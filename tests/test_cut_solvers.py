@@ -356,8 +356,8 @@ def test_local_search_matches_the_brute_force_greedy_oracle(name, eps, n):
 @pytest.mark.parametrize("name,eps", [("circle", 0.1), ("flat_torus_2", 0.25),
                                       ("sphere_2", 0.25)])
 def test_local_search_without_a_csr_matches_the_csr_search(name, eps):
-    # a fresh graph scores the start off its edge list and builds the CSR
-    # only to move; a graph whose CSR was read runs the CSR path throughout
+    # a fresh graph builds its CSR inside the search; the result must not
+    # depend on whether the CSR was read before
     n = 120
     cloud = get_manifold(name).sample(n, seed=3)
     rng = np.random.default_rng(5)
@@ -376,7 +376,8 @@ def test_local_search_without_a_csr_matches_the_csr_search(name, eps):
 
 
 def test_circle_pipeline_builds_no_csr():
-    # the arc sweep reads the edge list and local search moves no vertex
+    # the arc sweep reads the edge list, and its certified cut is refined no
+    # further, so nothing builds the CSR
     n = 500
     g = build_graph(get_manifold("circle").sample(n, seed=2), 2 * n ** -0.5)
     res = solve_pipeline(g)
@@ -550,8 +551,8 @@ def test_spectral_sweep_on_a_graph_loaded_without_its_cloud(tmp_path):
 
 @pytest.mark.parametrize("d", [2, 40])
 def test_spectral_sweep_on_degenerate_coordinates(d):
-    # collinear points in the plane (rank 1), and more coordinates than
-    # lobpcg can hold next to the constant vector at n = 150
+    # collinear points in the plane (rank 1), and a start block of 40
+    # columns at n = 150
     rng = np.random.default_rng(4)
     t = np.sort(rng.random(150))
     pts = (np.outer(t, [1.0, -2.0]) + [3.0, 1.0] if d == 2
@@ -619,6 +620,55 @@ def test_circle_pipeline_starts_from_the_arc_sweep_alone(monkeypatch):
     assert res.extras["winner"] == want.solver
     assert np.array_equal(res.subset, want.subset)
     assert res.objective_value == want.objective_value
+
+
+def _no_local_search(graph, start):
+    raise AssertionError("local search ran")
+
+
+def test_local_search_moves_no_vertex_from_a_certified_arc_cut():
+    # why the pipeline refines no certified arc cut: criterion 1's circle
+    # clouds, and small clouds of the converge configs' trial seeds
+    mf = get_manifold("circle")
+    rng = np.random.default_rng(1)
+    sizes = [int(rng.integers(8, 21)) for _ in range(200)]
+    graphs = [build_graph(mf.sample(sizes[i], seed=1000 + i), 0.24)
+              for i in range(0, 200, 2)]
+    for seed in range(1, 11):
+        cfg = harness.validate_config({"manifold": "circle", "trials": 1,
+                                       "n_list": [100, 150, 200, 400],
+                                       "seed": seed, "out": "unused"})
+        graphs += [build_graph(mf.sample(n, seed=harness.trial_seed(seed, n, 0)),
+                               cfg.epsilon(n)) for n in cfg.n_list]
+    assert len(graphs) == 140
+    for g in graphs:
+        arc = solve_arc_sweep(g)
+        assert arc.certificate == "FamilyOptimum", g.n
+        assert refine_local_search(g, arc) is arc, g.n
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+def test_circle_pipeline_refines_only_an_uncertified_arc_cut(thinned, monkeypatch):
+    n = 200
+    cloud = get_manifold("circle").sample(n, seed=3)
+    g = build_graph(cloud, 2 * n ** -0.5)
+    if thinned:
+        # half the edges dropped: gaps in the windows leave the arc cut a
+        # heuristic, which moves
+        keep = np.random.default_rng(3).random(len(g.edges)) < 0.5
+        g = ProximityGraph(points=g.points, epsilon=g.epsilon, m=1,
+                           edges=g.edges[keep], cloud=cloud)
+        want = refine_local_search(g, solve_arc_sweep(g))
+        assert want.solver == "local_search"
+    else:
+        want = solve_arc_sweep(g)
+        assert want.certificate == "FamilyOptimum"
+        monkeypatch.setattr(cut_solvers, "refine_local_search", _no_local_search)
+    res = solve_pipeline(g)
+    assert res.extras["winner"] == want.solver
+    assert np.array_equal(res.subset, want.subset)
+    assert res.objective_value == want.objective_value
+    assert (res.solver, res.certificate) == ("pipeline", "Heuristic")
 
 
 def test_spectral_start_never_beats_the_arc_start_on_the_circle():

@@ -382,12 +382,12 @@ def test_no_result_depends_on_the_order_of_the_edge_rows(name, n, eps, seed, blo
     u = rng.standard_normal(n)
     order = rng.permutation(n)
     start = result_from_subset(g, np.flatnonzero(mask) if mask.any() else [0], "random")
-    # the results in whole blocks and the edge rows as built: a graph that
-    # holds no CSR yet runs local search off its edge list
+    # the results in whole blocks and the edge rows as built: local search
+    # on a copy that holds no CSR yet builds its own
     want_gtv = [_bits(gtv(g, f)) for f in (u, mask.astype(float))]
     want_cut = cut_size(g, mask)
     want_k = _best_sweep_k(g, order)
-    from_edges = refine_local_search(replace(g), start)
+    want_search = refine_local_search(replace(g), start)
     ref = coo_adjacency(g)
     with mock.patch.object(proximity_graph, "BLOCK", block):
         for h in (g, _reordered(g, seed)):
@@ -397,10 +397,11 @@ def test_no_result_depends_on_the_order_of_the_edge_rows(name, n, eps, seed, blo
             assert cut_and_balance(h, mask) == cut_and_balance(g, mask)
             assert _bits(objective(h, mask)) == _bits(objective(g, mask))
             assert _best_sweep_k(h, order) == want_k
-            # local search off the CSR (read above) and off the edge list
-            assert _same_cut(refine_local_search(h, start), from_edges)
-        assert _same_cut(refine_local_search(_reordered(g, seed + 1), start), from_edges)
-        assert _same_cut(refine_local_search(build_graph(g.cloud, eps), start), from_edges)
+            # local search off the CSR read above, and below off fresh graphs
+            # that build their own
+            assert _same_cut(refine_local_search(h, start), want_search)
+        assert _same_cut(refine_local_search(_reordered(g, seed + 1), start), want_search)
+        assert _same_cut(refine_local_search(build_graph(g.cloud, eps), start), want_search)
         if name == "circle":
             got = solve_arc_sweep(_reordered(g, seed))
         if n <= 12:
