@@ -80,10 +80,7 @@ def main(argv=None):
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    except CheegerLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ValueError) as exc:
+    except (CheegerLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

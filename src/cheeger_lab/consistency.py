@@ -48,6 +48,19 @@ def schedule_exponents(m):
             "k_zeta": 3.0 / (1 + 2 * m)}
 
 
+def epsilon_errors(manifold, n_list, epsilons):
+    """One message per epsilon(n) that is not a positive finite number, or
+    that exceeds the manifold's ``epsilon0``."""
+    errors = []
+    for n, eps in zip(n_list, epsilons):
+        if not (math.isfinite(eps) and eps > 0.0):
+            errors.append(f"epsilon(n={n}) = {eps!r} is not a positive finite number")
+        elif eps > manifold.epsilon0:
+            errors.append(f"epsilon(n={n}) = {eps:.4g} exceeds the manifold "
+                          f"limit {manifold.epsilon0}")
+    return errors
+
+
 # ---------------------------------------------------------------------------
 # Transport surrogate
 # ---------------------------------------------------------------------------
@@ -296,13 +309,7 @@ def ustat_concentration(manifold, f: ContinuumFunction, n_list, epsilon_rule,
     # every epsilon is checked before a cloud is sampled, as `converge` does
     epsilons = [float(epsilon_rule(n)) if callable(epsilon_rule) else float(epsilon_rule)
                 for n in n_list]
-    errors = []
-    for n, eps in zip(n_list, epsilons):
-        if not (math.isfinite(eps) and eps > 0.0):
-            errors.append(f"epsilon(n={n}) = {eps!r} is not a positive finite number")
-        elif eps > manifold.epsilon0:
-            errors.append(f"epsilon(n={n}) = {eps:.4g} exceeds the manifold "
-                          f"limit {manifold.epsilon0}")
+    errors = epsilon_errors(manifold, n_list, epsilons)
     if errors:
         raise ConfigError(errors)
     sigma = surface_tension(manifold.m)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -272,15 +271,16 @@ def _deflate(Q, v):
     return v / nrm, c + c2, nrm
 
 
-def _lobpcg(L, X):
-    """Lowest eigenpair of the symmetric L in the complement of the constant
-    vector, by LOBPCG from the orthonormal, centred block X.
+def _lobpcg(W, X):
+    """Lowest eigenpair of L = D - W in the complement of the constant
+    vector, by LOBPCG from the orthonormal, centred block X. L is never
+    formed: L x is ``deg * x - W @ x``, deg the row counts of the adjacency W.
 
     Each iteration takes the Rayleigh-Ritz pairs of the basis [X, p, r].
     Only the lowest Ritz pair gets a residual r, centred, and a search
     direction p, the move its vector made outside the previous block; the
     rest of the block holds the near-degenerate lambda_2 cluster. So an
-    iteration costs one single-vector product with L, which takes the CSR
+    iteration costs one single-vector product with W, which takes the CSR
     row kernel, faster than the CSC view for one vector and bit-equal to it.
     p and r are made orthonormal to the basis before them, and a direction
     with nothing left is dropped. The products of the block and of p are
@@ -289,11 +289,13 @@ def _lobpcg(L, X):
     ``LOBPCG_MAXITER`` iterations, or when neither p nor r adds a direction.
     Returns (v, ||Lv - lam v||, iterations).
     """
+    deg = np.diff(W.indptr).astype(float)
     n, k = X.shape
     S = np.empty((n, k + 2), order="F")   # [block, p, r]
     LS = np.empty((n, k + 2), order="F")  # L times each column of S
-    # the block product takes L's CSC view: the same floats as L @ X, faster
-    S[:, :k], LS[:, :k] = X, L.T @ X
+    # the block product takes W's CSC view: W is exactly symmetric, so it
+    # gives the same floats as W @ X, faster
+    S[:, :k], LS[:, :k] = X, deg[:, None] * X - W.T @ X
     m = k
     for it in range(LOBPCG_MAXITER + 1):
         vals, C = np.linalg.eigh(S[:, :m].T @ LS[:, :m])
@@ -303,7 +305,7 @@ def _lobpcg(L, X):
         r = LS[:, 0] - lam * S[:, 0]
         res = float(np.linalg.norm(r))
         if not res > LOBPCG_TOL:
-            LS[:, 0] = L @ S[:, 0]
+            LS[:, 0] = deg * S[:, 0] - W @ S[:, 0]
             r = LS[:, 0] - lam * S[:, 0]
             res = float(np.linalg.norm(r))
             if not res > LOBPCG_TOL:
@@ -315,7 +317,7 @@ def _lobpcg(L, X):
             m += 1
         r, _, nrm = _deflate(S[:, :m], r - r.mean())
         if nrm:
-            S[:, m], LS[:, m] = r, L @ r
+            S[:, m], LS[:, m] = r, deg * r - W @ r
             m += 1
         if m == k:
             break
@@ -325,22 +327,15 @@ def _lobpcg(L, X):
 def fiedler_vector(graph: ProximityGraph):
     """Second eigenvector of L = D - W, deflating the constant vector.
 
-    Up to 128 vertices a dense ``eigh`` gives it. Above, ``_lobpcg`` iterates
-    the lowest Ritz vector of a block started from the cloud's centred
-    coordinates, and the constant vector stays out because every direction
-    is centred. Returns (v, ||Lv - lam v||); a solve that stops above
-    ``LOBPCG_TOL`` raises ``EigenNotConverged`` naming the iterations it ran,
-    with its residual last.
+    ``_lobpcg`` iterates the lowest Ritz vector of a block started from the
+    cloud's centred coordinates, on the graph's own adjacency, and the
+    constant vector stays out because every direction is centred. Returns
+    (v, ||Lv - lam v||); a solve that stops above ``LOBPCG_TOL`` raises
+    ``EigenNotConverged`` naming the iterations it ran, with its residual
+    last.
     """
-    n = graph.n
-    W = graph.adjacency
-    L = sp.diags(graph.degrees, dtype=float) - W
-    if n <= 128:
-        vals, vecs = np.linalg.eigh(L.toarray())
-        v = vecs[:, 1]
-        return v, float(np.linalg.norm(L @ v - vals[1] * v))
     try:
-        v, res, its = _lobpcg(L, _start_block(graph.points))
+        v, res, its = _lobpcg(graph.adjacency, _start_block(graph.points))
     except np.linalg.LinAlgError as exc:
         raise EigenNotConverged(f"Fiedler iteration failed: {exc}") from exc
     if not res <= LOBPCG_TOL:

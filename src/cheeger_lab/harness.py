@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 import traceback
@@ -24,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .consistency import (circle_transport_delta, cut_l1_error, fit_rate,
-                          loglog_fit, schedule_exponents)
+from .consistency import (circle_transport_delta, cut_l1_error,
+                          epsilon_errors, fit_rate, loglog_fit,
+                          schedule_exponents)
 from .cut_solvers import (EXACT_LIMIT, solve_arc_sweep, solve_exact,
                           solve_pipeline, solve_spectral_sweep)
 from .errors import ConfigError, MissingColumns
@@ -194,13 +194,7 @@ def validate_config(source) -> ExperimentConfig:
     for key, value in derived.items():
         if key in raw and raw[key] != value:
             errors.append(f"{key} {raw[key]!r} differs from the derived {value!r}")
-    for n in cfg.n_list:
-        eps = cfg.epsilon(n)
-        if not (math.isfinite(eps) and eps > 0.0):
-            errors.append(f"epsilon(n={n}) = {eps!r} is not a positive finite number")
-        elif eps > mf.epsilon0:
-            errors.append(f"epsilon(n={n}) = {eps:.4g} exceeds the manifold "
-                          f"limit {mf.epsilon0}")
+    errors += epsilon_errors(mf, cfg.n_list, [cfg.epsilon(n) for n in cfg.n_list])
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -289,8 +283,6 @@ def _worker(args):
     cfg_dict, n, trial, out_dir = args
     cfg = ExperimentConfig(**cfg_dict)
     path = _record_path(out_dir, n, trial)
-    if path.exists():
-        return str(path)
     try:
         rec = run_trial(cfg, n, trial)
     except Exception as exc:  # noqa: BLE001 - per-trial isolation

@@ -418,17 +418,25 @@ def dense_sweep_subset(graph):
     return canonical_subset(graph.n, order[:_best_sweep_k(graph, order)])
 
 
-# above the dense cut-off of 128 vertices, so the block LOBPCG path runs;
+_SWEEP_SETTINGS = [("circle", 0.1), ("flat_torus_2", 0.25), ("sphere_2", 0.25),
+                   ("sphere_2", 0.5)]
+
+
+# LOBPCG runs at every n, down to 12 vertices (of the four settings only
+# sphere_2 at 0.5 links a 12-point cloud of seed 4 into one component);
 # sphere_2 at 0.5 links most pairs (max degree 337 of 399 at n = 400), where
 # the absolute LOBPCG_TOL is the tightest against ||L||
-@pytest.mark.parametrize("name,eps", [("circle", 0.1), ("flat_torus_2", 0.25),
-                                      ("sphere_2", 0.25), ("sphere_2", 0.5)])
-@pytest.mark.parametrize("n,seed", [(129, 1), (250, 2), (400, 3)])
-def test_block_sweep_matches_the_dense_fiedler_sweep(name, eps, n, seed):
+@pytest.mark.parametrize(
+    "n,seed,name,eps",
+    [(n, seed, *s) for n, seed in [(129, 1), (250, 2), (400, 3), (40, 4), (128, 5)]
+     for s in _SWEEP_SETTINGS] + [(12, 4, "sphere_2", 0.5)])
+def test_block_sweep_matches_the_dense_fiedler_sweep(n, seed, name, eps):
     g = build_graph(get_manifold(name).sample(n, seed=seed), eps)
     res = solve_spectral_sweep(g)
+    want = dense_sweep_subset(g)
     assert res.extras["eigen_residual"] <= LOBPCG_TOL
-    assert np.array_equal(res.subset, dense_sweep_subset(g))
+    assert res.objective_value == objective(g, want)
+    assert np.array_equal(res.subset, want)
 
 
 @pytest.mark.parametrize("name", ["sphere_2", "flat_torus_2"])
@@ -439,8 +447,8 @@ def test_eigen_solve_converges_without_a_stall(name, monkeypatch):
     counts = []
     real = cut_solvers._lobpcg
 
-    def lobpcg(L, X):
-        v, res, its = real(L, X)
+    def lobpcg(W, X):
+        v, res, its = real(W, X)
         counts.append(its)
         return v, res, its
 
@@ -454,9 +462,9 @@ def test_eigen_solve_converges_without_a_stall(name, monkeypatch):
     assert len(counts) == 1 and counts[0] < 100
 
 
-# L = D - W is exactly symmetric, so its CSC view L.T multiplies bit for bit
-# as the CSR L does; the solve takes the block product on the view, and its
-# answer is scipy's LOBPCG answer on the same start block
+# W and L = D - W are exactly symmetric, so their CSC views multiply bit for
+# bit as the CSR matrices do; the solve takes the block product on W's view,
+# and its answer is scipy's LOBPCG answer on the same start block
 @pytest.mark.parametrize("name,n,eps,seed", [("circle", 300, 0.1, 7),
                                              ("flat_torus_2", 900, 0.2, 8),
                                              ("sphere_2", 1500, 0.2, 9)])
@@ -465,6 +473,7 @@ def test_column_view_solve_is_bit_equal_to_the_row_kernel(name, n, eps, seed):
     L = sp.diags(g.degrees, dtype=float) - g.adjacency
     X = _start_block(g.points)
     for block in (np.ascontiguousarray(X), np.asfortranarray(X)):
+        assert np.array_equal(g.adjacency.T @ block, g.adjacency @ block)
         assert np.array_equal(L.T @ block, L @ block)
     # the reference: scipy's block LOBPCG under the constant-vector
     # constraint, on a copy of the start block, which it overwrites
@@ -520,12 +529,13 @@ def antipodal_sphere_cloud(n_half, seed):
 
 
 # exactly degenerate lambda_2: the lattice's coordinates are eigenvectors, so
-# the start block has converged before the first iteration; and a sphere
-# cloud symmetric under x -> -x
+# the start block has converged before the first iteration, down to the
+# 64-vertex lattice; and a sphere cloud symmetric under x -> -x
 @pytest.mark.parametrize("cloud,eps", [(lattice_torus_cloud(16), 2.5 / 16),
                                        (lattice_torus_cloud(20), 2.5 / 20),
                                        (lattice_torus_cloud(24), 2.5 / 24),
-                                       (antipodal_sphere_cloud(300, 3), 0.2)])
+                                       (antipodal_sphere_cloud(300, 3), 0.2),
+                                       (lattice_torus_cloud(8), 2.5 / 8)])
 def test_eigen_solve_on_degenerate_clouds_returns_lambda_2(cloud, eps):
     g = build_graph(cloud, eps)
     L = sp.diags(g.degrees, dtype=float) - g.adjacency
@@ -533,7 +543,7 @@ def test_eigen_solve_on_degenerate_clouds_returns_lambda_2(cloud, eps):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v, res = fiedler_vector(g)
-    assert g.n > 128 and res <= LOBPCG_TOL
+    assert res <= LOBPCG_TOL
     assert v @ (L @ v) == pytest.approx(lam2, rel=1e-9, abs=0)
 
 

@@ -50,6 +50,21 @@ def test_validate_config_collects_errors():
     assert "seed required" in msgs
 
 
+def test_validate_config_names_a_missing_manifold_and_an_unknown_solver():
+    with pytest.raises(ConfigError) as exc:
+        validate_config({"n_list": [100], "trials": 1, "seed": 0, "out": "x",
+                         "solver": "annealing"})
+    assert exc.value.errors == [
+        "manifold required",
+        f"unknown solver 'annealing'; expected one of {sorted(harness._SOLVERS)}"]
+
+
+def test_validate_config_refuses_epsilons_that_do_not_align_with_n_list():
+    with pytest.raises(ConfigError) as exc:
+        small_config("x", epsilons=[0.2])
+    assert exc.value.errors == ["epsilons must align with n_list"]
+
+
 def test_validate_config_rejects_edited_derived_keys():
     raw = {"manifold": "circle", "n_list": [100], "trials": 1, "seed": 0, "out": "x"}
     echoed = validate_config(raw).resolved()
@@ -427,6 +442,18 @@ def test_cli_converge_and_plot(tmp_path, capsys):
     assert cli.main(["--out", str(tmp_path / "plots"), "plot",
                      "--summary", str(out / "summary.csv"),
                      "--kind", "concentration"]) == 0
+
+
+def test_cli_converge_takes_one_epsilon_per_n(tmp_path, capsys):
+    out = tmp_path / "conv"
+    argv = ["--out", str(out), "converge", "--manifold", "circle",
+            "--n", "100,200", "--trials", "1", "--epsilons"]
+    assert cli.main(argv + ["0.2,0.15"]) == 0
+    capsys.readouterr()
+    recs = [json.loads((out / f"record_n{n}_t0.json").read_text()) for n in (100, 200)]
+    assert [r["epsilon"] for r in recs] == [0.2, 0.15]
+    assert cli.main(argv + ["0.2"]) == 2
+    assert "config error: epsilons must align with n_list" in capsys.readouterr().err
 
 
 def test_cli_nonlocal_check(capsys):

@@ -724,12 +724,11 @@ def test_only_the_block_helper_save_and_exact_enumeration_read_the_edge_array():
     assert nonlocal_tv._BLOCK_PAIRS == proximity_graph.BLOCK == 65_536
 
 
-def test_sparse_matrices_are_built_in_two_places():
-    # one CSR builder for the graph, and the Laplacian built from it
+def test_sparse_matrices_are_built_in_one_place():
+    # one CSR builder for the graph; the eigen solve multiplies by it
     sites = []
     for path in sorted(Path(proximity_graph.__file__).parent.glob("*.py")):
         visitor = _SparseBuildSites(path.stem)
         visitor.visit(ast.parse(path.read_text()))
         sites += visitor.sites
-    assert sorted(sites) == [("cut_solvers", "fiedler_vector"),
-                             ("proximity_graph", "ProximityGraph.adjacency")]
+    assert sites == [("proximity_graph", "ProximityGraph.adjacency")]
