@@ -3,7 +3,8 @@
 The discrete Cheeger problem is NP-hard, so we provide:
 
 * ``solve_exact``         -- full enumeration for n <= 24;
-* ``solve_arc_sweep``     -- exact over contiguous arcs of a circle cloud;
+* ``solve_arc_sweep``     -- exact over the arcs of a circle cloud's angular
+  order, from the edge counts at each boundary of that order;
 * ``solve_spectral_sweep``-- Fiedler-vector threshold sweep;
 * ``refine_local_search`` -- greedy single-vertex moves, each one lowering
   the ratio;
@@ -18,7 +19,8 @@ Subsets are stored canonically as the side containing vertex 0, sorted.
 ``solve_exact`` breaks ties between subsets of equal float value toward the
 lexicographically smallest canonical subset, found by peeling the tied
 ids' lowest set bits; the arc sweep toward the shortest arc, then the first
-start in angular order.
+start in angular order, and it scores only the arcs that integer bounds on
+the cut leave in reach of the best found.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
-from numpy.lib.stride_tricks import sliding_window_view
 
-from . import proximity_graph
 from .errors import EigenNotConverged, SizeLimitExceeded, WrongManifold
-from .manifold import Circle, _wrap
+from .manifold import Circle
 from .proximity_graph import (ProximityGraph, _as_mask, _edge_blocks,
-                              cheeger_ratio, cut_and_balance, objective)
+                              _lag_chunks, cheeger_ratio, cut_and_balance,
+                              objective)
 
 EXACT_LIMIT = 24
 LOBPCG_TOL = 1e-8
@@ -130,107 +131,200 @@ def _lex_min_id(ids):
 # ---------------------------------------------------------------------------
 
 def solve_arc_sweep(graph: ProximityGraph) -> CutResult:
-    """Exact Cheeger optimum over contiguous arcs of the angular order.
+    """Exact Cheeger optimum over the arcs of the angular order.
 
-    Every arc of length k has the same balance, and the integer cuts keep
-    their order under the positive factor, so each k keeps its least cut
-    (first start on ties) and the best ratio over k wins. Growing the arcs
-    that start at s by the vertex u at s + k adds deg(u) minus twice its
-    neighbours inside the arc: min(lccw(u), k) behind it plus the forward
-    neighbours the arc wraps onto, max(0, k + rcw(u) + 1 - n). These counts
-    are the arcs' cuts when each vertex's neighbours behind it and ahead of
-    it are its lccw and rcw nearest in angular order, as in an epsilon-graph.
-    Then an arc of length n - k is the complement of one of length k, with
-    the same cut and balance, and ties go to the shorter length, so only the
-    lengths 1..floor(n/2) are swept. An edge list without contiguous windows
-    (such as a loaded file) gets every length 1..n - 1 and the certificate
-    ``Heuristic``: its counts are not the arcs' cuts. For
-    max lccw <= k <= n - 1 - max rcw both terms are fixed, so
-    cut_k(s) = base(s) + Q[s + k] with Q the prefix sum of rcw - lccw along
-    the doubled order. That middle range is scanned in windows; the lengths
-    below and above it step the recurrence, a block of lengths at a time
-    (``proximity_graph.BLOCK`` elements of 8 bytes, whatever the dtype).
-    A cut is at most E, |Q| at most 2E and |base| at most 3E, so the sweep
-    counts in int32 while 3E < 2^31 and in int64 beyond.
+    Boundary b sits between positions b - 1 and b, so the arc [i, i + L)
+    has the boundaries i and i + L. Each edge runs forward from its tail, the
+    endpoint behind in angle, ``step`` positions to its head, and crosses
+    the boundaries between them; c(b) counts the edges that cross b, and S
+    is the longest step. An edge is cut iff it crosses exactly one of the
+    arc's two boundaries, so for S <= L <= n - L the cut is c(i) + c(i + L);
+    a shorter arc's cut subtracts twice the edges that cross both
+    (``_arc_counts``). An arc of length n - L is the complement of one of
+    length L, with the same cut and balance, and ties go to the shorter
+    arc, so only the lengths 1..floor(n/2) are searched:
+
+    * the arcs of length floor(n/2) give a best cut C* at length L*;
+    * at S <= L an arc from start i scores (c(i) + c(i + L)) / L, at least
+      (c(i) + c_min) / L, so start i is searched from the least L at which
+      that bound reaches C* / L*;
+    * an arc shorter than S has each vertex's degree less at most L - 1
+      inside neighbours as its cut, at least L (d_min - L + 1); a length
+      whose bound, or whose arcs' degree sums less L (L - 1), cannot reach
+      C* / L* is skipped, and every other length is scored exactly, whole.
+
+    Bounds compare cut * L* with C* * L in integers. They keep an arc
+    within a relative 2^-50 of C* / L* (``tol``; 0 while C* * n / 2 < 2^50),
+    which covers the float rounding of ``cheeger_ratio``, so every arc that
+    could tie the best float is scored. The tie rule: the least float
+    ``cheeger_ratio``, then the shortest arc, then the first start.
+
+    The result is exact over arcs on every edge list. Its certificate is
+    ``FamilyOptimum`` when each vertex's neighbours are the nearest behind it
+    and ahead of it in angular order (contiguous windows), as in an
+    epsilon-graph; any other edge list, such as a thinned one, gets
+    ``Heuristic``, and the pipeline refines its cut.
     """
     if graph.cloud is None or not isinstance(graph.cloud.manifold, Circle):
         raise WrongManifold("arc sweep requires a graph built on a Circle cloud")
     n = graph.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    mf = graph.cloud.manifold
-    t = mf.to_intrinsic(graph.points)
+    order, c, deg, longest, contiguous, crossing = _arc_counts(graph)
+    c2 = np.concatenate([c, c])  # boundaries i + L need no modulo
+    half = n // 2
+    best = None  # (float ratio, length, start, cut)
+
+    def offer(cut, length, start):
+        nonlocal best
+        if not len(cut):
+            return
+        vals = cheeger_ratio(cut, length, n, graph.rescale)
+        k = np.flatnonzero(vals == vals.min())
+        k = k[np.lexsort((start[k], length[k]))[0]]
+        cand = (float(vals[k]), int(length[k]), int(start[k]), int(cut[k]))
+        if best is None or cand[:3] < best[:3]:
+            best = cand
+
+    def bound():
+        """(C*, L*, tol): an arc of cut x at length L stays while
+        x * L* <= C* * L + tol."""
+        return best[3], best[1], (best[3] * half) >> 50
+
+    every = np.arange(n)
+    if longest <= half:
+        shortest = max(longest, 1)
+        offer(c + c2[half:half + n], np.full(n, half), every)
+        cut_best, len_best, tol = bound()
+        need = (c + c.min()) * len_best - tol
+        if cut_best:
+            # the least L with need <= C* L, less one: the lags past lo
+            lo = np.clip(-(-need // cut_best) - 1, shortest - 1, half - 1)
+            for p0, p1, cnt, q in _lag_chunks(lo, np.full(n, half - 1)):
+                p = np.repeat(np.arange(p0, p1), cnt)
+                offer(c[p] + c2[q], q - p, p)
+        else:
+            # only zero cuts compete: from each zero boundary the next one
+            # at least `shortest` ahead
+            zero = np.flatnonzero(c2 == 0)
+            start = zero[zero < n]
+            length = zero[np.searchsorted(zero, start + shortest)] - start
+            keep = length < half
+            offer(np.zeros(keep.sum(), dtype=np.int64), length[keep], start[keep])
+    cum = np.concatenate([[0], np.cumsum(np.concatenate([deg, deg]))])
+    d_min = int(deg.min())
+    for length in range(min(longest - 1, half), 0, -1):
+        if best is not None:
+            cut_best, len_best, tol = bound()
+            if length * (d_min - length + 1) * len_best > cut_best * length + tol:
+                continue
+            lower = cum[length:length + n] - cum[:n] - length * (length - 1)
+            if not (lower * len_best <= cut_best * length + tol).any():
+                continue
+        both = crossing(length)
+        if longest > n - length:
+            both += np.roll(crossing(n - length), -length)
+        offer(c + c2[length:length + n] - 2 * both, np.full(n, length), every)
+    _, length, start, _ = best
+    subset = order[(start + np.arange(length)) % n]
+    res = result_from_subset(graph, subset, solver="arc_sweep")
+    return res if contiguous else replace(res, certificate="Heuristic")
+
+
+def _arc_counts(graph):
+    """(order, c, deg, S, contiguous, crossing) of ``solve_arc_sweep``, in
+    angular positions: the order, the boundary counts c, the degrees, the
+    longest step S, whether the windows are contiguous, and the function
+    m -> A_m, where A_m(b) counts the edges that cross both b and b + m
+    (c is A_0). An edge crosses both boundaries of the arc [i, i + L) iff it
+    is counted in A_L(i) or in A_{n-L}(i + L).
+
+    A graph that kept its build's windows (``ProximityGraph.windows``) gives
+    them in O(n) each: the edges of position p run to p + 1..p + count[p],
+    so A_m adds a ramp count[p] - m, count[p] - m - 1, ..., 1 on the
+    boundaries from p + 1. Its forward windows are contiguous by
+    construction, and its backward ones iff no window ends before the one
+    behind it: count[p + 1] >= count[p] - 1. Any other graph gets them from
+    passes over its edge list: steps are taken forward in angle, and the
+    backward windows are contiguous iff the steps sum to
+    sum rcw (rcw + 1) / 2 and to sum lccw (lccw + 1) / 2 (rcw and lccw the
+    edges from each position forward and backward): a position's steps to
+    its heads are distinct in 1..n - 1, so they sum to at least that, and
+    to that only if they are 1..rcw, and the same holds from the heads.
+    """
+    n = graph.n
+    if graph.windows is not None:
+        order, count = graph.windows
+        # the windows that reach each position are its edges behind it
+        behind = np.zeros(2 * n + 1, dtype=np.int64)
+        _cross(behind, np.arange(n), count, 0)
+        return (order, _ramps(count), count + _fold(np.cumsum(behind), n),
+                int(count.max()),
+                bool((np.roll(count, -1) >= count - 1).all()),
+                lambda m: _ramps(np.maximum(count - m, 0)))
+    t = graph.cloud.manifold.to_intrinsic(graph.points)
     order = np.argsort(t, kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    # directional neighbor-window sizes from the actual adjacency
-    lccw = np.zeros(n, dtype=np.int64)  # neighbors among angular predecessors
-    rcw = np.zeros(n, dtype=np.int64)   # neighbors among angular successors
-    spread = 0  # sum over the edges of the steps in angular order from tail to head
-    for block in _edge_blocks(graph):
-        i, j = block[:, 0], block[:, 1]
-        g = _wrap(t[j] - t[i])
-        fwd = (g < 0.5) | ((g == 0.5) & (i < j))
-        head = np.where(fwd, j, i)  # the endpoint ahead of the other
-        tail = i + j - head
-        lccw += np.bincount(head, minlength=n)
+    def steps():
+        """Per edge block, (tail position, step)."""
+        for block in _edge_blocks(graph):
+            i, j = block[:, 0], block[:, 1]
+            # the gap from i forward to j in the sorted order, past its end
+            # where j comes first: a point at t = 1.0 is behind one at 0.0
+            g = t[j] - t[i] + (rank[j] < rank[i])
+            fwd = (g < 0.5) | ((g == 0.5) & (i < j))
+            tail = rank[np.where(fwd, i, j)]
+            yield tail, (rank[np.where(fwd, j, i)] - tail) % n
+
+    def crossing(m):
+        diff = np.zeros(2 * n + 1, dtype=np.int64)
+        for tail, step in steps():
+            _cross(diff, tail, step, m)
+        return _fold(np.cumsum(diff), n)
+
+    # one pass for c, the windows and the steps' sum and maximum
+    rcw = np.zeros(n, dtype=np.int64)
+    lccw = np.zeros(n, dtype=np.int64)
+    diff = np.zeros(2 * n + 1, dtype=np.int64)
+    spread = longest = 0
+    for tail, step in steps():
+        head = tail + step
         rcw += np.bincount(tail, minlength=n)
-        ahead = rank[head] - rank[tail]  # minus n where the edge wraps past 0
-        spread += int(ahead.sum()) + n * int(np.count_nonzero(ahead < 0))
-    # a vertex's rcw steps to its heads are distinct in 1..n - 1, so they sum
-    # to at least rcw (rcw + 1) / 2, and to that only if they are 1..rcw; the
-    # same steps seen from the heads bound the lccw windows
+        lccw += np.bincount(head % n, minlength=n)
+        _cross(diff, tail, step, 0)
+        spread += int(step.sum())
+        longest = max(longest, int(step.max()))
     contiguous = spread == int((rcw * (rcw + 1)).sum()) // 2 \
         == int((lccw * (lccw + 1)).sum()) // 2
-    # the narrowest of int32 and int64 that holds 3E (see above)
-    dtype = np.int32 if 3 * len(graph.edges) < 2 ** 31 else np.int64
-    # positions s + k of the doubled angular order need no modulo
-    lc = np.tile(lccw[order].astype(dtype), 2)
-    rc = np.tile(rcw[order].astype(dtype), 2)
+    return (order, _fold(np.cumsum(diff), n), rcw + lccw, longest, contiguous,
+            crossing)
 
-    top = n // 2 + 1 if contiguous else n  # one past the longest length swept
-    start = np.empty(top - 1, dtype=np.int64)
-    least = np.empty(top - 1, dtype=dtype)
 
-    def keep(k, block):
-        """Least cut and its first start, per row of cuts of length k, k + 1, ..."""
-        s = np.argmin(block, axis=1)
-        start[k - 1:k - 1 + len(block)] = s
-        least[k - 1:k - 1 + len(block)] = block[np.arange(len(block)), s]
+def _cross(diff, tail, step, m):
+    """Add to the difference array ``diff`` of doubled boundaries the edges
+    of step > m, each on the boundaries b = tail + 1..tail + step - m, at
+    which it crosses both b and b + m."""
+    k = step > m
+    diff += np.bincount(tail[k] + 1, minlength=len(diff))
+    diff -= np.bincount(tail[k] + step[k] - m + 1, minlength=len(diff))
 
-    mid_lo = max(int(lccw.max()), 1)
-    mid_hi = min(n - 1 - int(rcw.max()), top)
-    if mid_lo >= mid_hi:
-        mid_lo = top  # no middle range: the recurrence covers every length
-    lw, rw = sliding_window_view(lc, n), sliding_window_view(rc, n)
-    rows = max(1, 8 * proximity_graph.BLOCK // (n * lc.itemsize))
-    k, cut = 1, lc[:n] + rc[:n]  # arcs of length 1 starting at s
-    while k < top:
-        if k == mid_lo:
-            q = np.zeros(2 * n + 1, dtype=dtype)
-            np.cumsum(rc - lc, dtype=dtype, out=q[1:])
-            base = cut - q[k:k + n]
-            windows = sliding_window_view(q, n)
-            for lo in range(mid_lo, mid_hi, rows):
-                keep(lo, base + windows[lo:min(lo + rows, mid_hi)])
-            k, cut = mid_hi, base + q[mid_hi:mid_hi + n]
-            continue
-        # step the recurrence over a block of lengths k..hi - 1 and on to hi:
-        # extend every arc by the vertex at position s + k
-        hi = min(k + rows, mid_lo if k < mid_lo else top)
-        lv, rv, kk = lw[k:hi], rw[k:hi], np.arange(k, hi, dtype=dtype)[:, None]
-        step = lv + rv - 2 * (np.minimum(lv, kk) + np.maximum(0, kk + rv + 1 - n))
-        block = np.empty((hi - k + 1, n), dtype=dtype)
-        block[0] = cut
-        for r, inc in enumerate(step):
-            np.add(block[r], inc, out=block[r + 1])
-        keep(k, block[:-1])
-        k, cut = hi, block[-1]
-    k = int(np.argmin(cheeger_ratio(least, np.arange(1, top), n, graph.rescale))) + 1
-    subset = order[(start[k - 1] + np.arange(k)) % n]
-    res = result_from_subset(graph, subset, solver="arc_sweep")
-    return res if contiguous else replace(res, certificate="Heuristic")
+
+def _fold(f, n):
+    """A function of the doubled positions 0..2n - 1 summed onto 0..n - 1."""
+    return f[:n] + f[n:2 * n]
+
+
+def _ramps(h):
+    """Per position b, the sum over p of the ramps h[p], h[p] - 1, ..., 1 on
+    the positions p + 1, p + 2, ... (mod n), from their second differences."""
+    n = len(h)
+    d2 = np.zeros(2 * n + 2, dtype=np.int64)
+    d2[1:n + 1] += h
+    d2[2:n + 2] -= h + 1
+    d2 += np.bincount(np.arange(n) + h + 2, minlength=2 * n + 2)
+    return _fold(np.cumsum(np.cumsum(d2)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Edges connect points at ambient Euclidean distance <= epsilon (indicator
 kernel), excluding self loops: the pairs that a k-d tree's range search
 keeps, dx*dx + dy*dy + ... <= epsilon*epsilon. On a circle cloud they are
-found from the angular order, each vertex's forward window (``_edges_circle``);
-elsewhere by the tree (``_edges_kdtree``). The graph total variation of a
-vertex function u is
+found from the angular order, each vertex's forward window (``_edges_circle``),
+and the graph keeps the windows (``ProximityGraph.windows``) when they hold
+exactly its edges; elsewhere by the tree (``_edges_kdtree``). The graph total
+variation of a vertex function u is
 
     GTV(u) = (1 / (n^2 eps^{m+1})) * sum_{i,j} w_ij |u_i - u_j|,
 
@@ -31,9 +32,9 @@ from scipy.spatial import cKDTree
 
 from .manifold import Circle, is_int, read_sidecar
 
-# Elements per block of every pass over the edge list, of the arc lengths of
-# the arc sweep and of the kernel-pair sums of Lambda_a and zonal TV_h: a cache
-# budget. One array of 8-byte elements of a block takes 512 kB, so each
+# Elements per block of every pass over the edge list, of the candidate arcs
+# of the arc sweep and of the kernel-pair sums of Lambda_a and zonal TV_h: a
+# cache budget. One array of 8-byte elements of a block takes 512 kB, so each
 # elementwise step runs in a core's L2 cache (2 MB on the Xeon measured: the
 # sphere smoothing-chain check at (0.1, 0.2) took 0.35-0.44 s with 16 k-128 k
 # pairs a block against 0.75 s with 1 M), and the memory a pass takes beyond
@@ -51,6 +52,10 @@ class ProximityGraph:
     m: int                       # intrinsic dimension used in the rescaling
     edges: np.ndarray            # (E, 2) int array, i < j, each pair once, any row order
     cloud: object = None         # optional PointCloud provenance
+    # (order, count) of a circle cloud's build: the angular order, and each
+    # position's forward window, the edges to the next count[p] positions;
+    # None on every other graph (``_edges_circle``)
+    windows: tuple = field(default=None, repr=False)
     _adj: sp.csr_matrix = field(default=None, repr=False)
 
     @property
@@ -143,6 +148,7 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
     Raw point arrays and clouds on other manifolds get the tree's pairs in
     the tree's order. Either way each pair is one row, i < j, and the edge
     set is the same, ties included; no reader depends on the row order.
+    A circle graph keeps its windows when they give the edges exactly.
     """
     cloud = None
     if hasattr(points_or_cloud, "points") and hasattr(points_or_cloud, "manifold"):
@@ -157,12 +163,13 @@ def build_graph(points_or_cloud, epsilon, m=None) -> ProximityGraph:
         if m is None:
             raise ValueError("m required when building from a raw point array")
     _check_parameters(epsilon, m, points.shape[0], cloud)
+    windows = None
     if cloud is not None and isinstance(cloud.manifold, Circle):
-        edges = _edges_circle(points, float(epsilon), cloud.manifold)
+        edges, windows = _edges_circle(points, float(epsilon), cloud.manifold)
     else:
         edges = _edges_kdtree(points, epsilon)
     return ProximityGraph(points=points, epsilon=float(epsilon), m=int(m),
-                          edges=edges, cloud=cloud)
+                          edges=edges, cloud=cloud, windows=windows)
 
 
 def _check_parameters(epsilon, m, n, cloud=None, where=""):
@@ -211,7 +218,8 @@ def _edges_kdtree(points, eps):
 def _edges_circle(points, eps, circle):
     """The pairs of ``_edges_kdtree`` on a cloud of ``circle``, i < j,
     position-major: each vertex's forward window, in angular order, vertex
-    by vertex around the circle (a one-dimensional sort-and-sweep).
+    by vertex around the circle (a one-dimensional sort-and-sweep), and the
+    windows (order, count) or None.
 
     Two points at radii within delta of R, a forward angular gap of g turns
     apart, lie between 2 (R - delta) sin(pi g) and
@@ -225,10 +233,15 @@ def _edges_circle(points, eps, circle):
     every pair is a candidate: the lags up to (n - 1) // 2, and n / 2 from
     the first half of an even n, give each pair once. Beyond the O(n)
     windows, the temporaries are chunks of about ``BLOCK`` lags.
+
+    The windows are returned when the passing lags of every position are
+    its first count[p], so that they hold exactly the edges, and every
+    window is shorter than half a turn, so that each edge runs forward in
+    angle from its window's position (the arc sweep's direction).
     """
     n = len(points)
     if n < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int64), None
     t = circle.to_intrinsic(points)
     order = np.argsort(t, kind="stable")
     t = t[order]
@@ -269,12 +282,15 @@ def _edges_circle(points, eps, circle):
         dy = y[i] - y[j]
         return dx * dx + dy * dy <= eps2
 
-    # the passing lags of the band lo < lag <= hi, per position
+    # the passing lags of the band lo < lag <= hi, per position, and whether
+    # they are a prefix of it: no lag passes whose predecessor failed
     count = lo.astype(np.int64)
+    prefix = g_out < 0.5 - _TOL
     for p0, p1, c, q in _lag_chunks(lo, hi):
         p = np.repeat(np.arange(p0, p1), c)
-        count[p0:p1] += np.bincount(p[within(order[p], order2[q])] - p0,
-                                    minlength=p1 - p0)
+        ok = within(order[p], order2[q])
+        count[p0:p1] += np.bincount(p[ok] - p0, minlength=p1 - p0)
+        prefix = prefix and not (ok[1:] & ~ok[:-1] & (p[1:] == p[:-1])).any()
     edges = np.empty((int(count.sum()), 2), dtype=np.int64)
     row = 0
     for p0, p1, c, q in _lag_chunks(np.zeros_like(hi), hi):
@@ -289,7 +305,7 @@ def _edges_circle(points, eps, circle):
         np.minimum(i, j, out=rows[:, 0])
         np.maximum(i, j, out=rows[:, 1])
         row += len(i)
-    return edges
+    return edges, ((order, count) if prefix else None)
 
 
 def _lag_chunks(lo, hi):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -137,10 +139,49 @@ def _windows_are_contiguous(g, lccw, rcw):
                for s in range(n))
 
 
-def test_arc_sweep_matches_reference_recurrence():
+def _best_arc(g):
+    """The best arc by brute force: every arc (start s, length 1..n // 2) of
+    the angular order, its cut read off the dense adjacency's 2-D prefix
+    sums, under the tie rule (least float ratio, then the shortest arc,
+    then the first start). Returns the canonical subset."""
+    n, half = g.n, g.n // 2
+    order = np.argsort(g.cloud.manifold.to_intrinsic(g.points), kind="stable")
+    rank = np.empty(n, dtype=int)
+    rank[order] = np.arange(n)
+    adj = np.zeros((n, n), dtype=np.int64)
+    adj[rank[g.edges[:, 0]], rank[g.edges[:, 1]]] = 1
+    adj += adj.T
+    cum = np.zeros((2 * n + 1, 2 * n + 1), dtype=np.int64)
+    cum[1:, 1:] = np.tile(adj, (2, 2)).cumsum(0).cumsum(1)
+    deg = np.concatenate([[0], np.cumsum(np.tile(adj.sum(1), 2))])
+    s = np.arange(n)[None, :]
+    e = s + np.arange(1, half + 1)[:, None]
+    inside = cum[e, e] - cum[s, e] - cum[e, s] + cum[s, s]
+    cut = deg[e] - deg[s] - inside
+    vals = cheeger_ratio(cut, e - s, n, g.rescale)
+    k, s = np.unravel_index(np.argmin(vals), vals.shape)  # row-major: length, start
+    return canonical_subset(n, order[(s + np.arange(k + 1)) % n])
+
+
+def _counting_crossings(monkeypatch):
+    """Record the lengths at which ``solve_arc_sweep`` scores arcs exactly."""
+    calls = []
+    real = cut_solvers._arc_counts
+
+    def wrapped(g):
+        *counts, crossing = real(g)
+        return (*counts, lambda m: calls.append(m) or crossing(m))
+
+    monkeypatch.setattr(cut_solvers, "_arc_counts", wrapped)
+    return calls
+
+
+def test_arc_sweep_matches_reference_recurrence(monkeypatch):
     mf = get_manifold("circle")
     rng = np.random.default_rng(2024)
-    kinds = {"no_edges": 0, "empty_middle": 0, "middle": 0, "lattice": 0, "gaps": 0}
+    calls = _counting_crossings(monkeypatch)
+    kinds = {"no_edges": 0, "all_short": 0, "long": 0, "short_scored": 0,
+             "lattice": 0, "gaps": 0}
     for case in range(160):
         n = int(rng.integers(2, 401))
         if case % 5 == 0:  # lattices: many arcs with exactly equal cuts
@@ -149,38 +190,111 @@ def test_arc_sweep_matches_reference_recurrence():
         else:
             cloud = mf.sample(n, seed=case)
         if case % 8 == 1:
-            eps = 1e-9  # below every spacing: no edges, all lengths in the middle
+            eps = 1e-9  # below every spacing: no edges
         elif case % 8 == 2:
             eps = 1.2 * mf.radius  # dense: the windows of two vertices overlap
         else:
             eps = float(rng.uniform(0.5, 6.0)) * n ** -0.5
         g = build_graph(cloud, eps)
         if case % 8 == 3:
-            # thinned edge set: the largest windows no longer sit in the
-            # densest stretch, so the middle range's bounds are exercised
+            # thinned edge set: gaps in the windows, and vertices of low
+            # degree, so that short arcs are scored
             keep = rng.random(len(g.edges)) < 0.5
             g = ProximityGraph(points=g.points, epsilon=eps, m=1,
                                edges=g.edges[keep], cloud=cloud)
-        ref, lccw, rcw = _arc_sweep_reference(g)
+        calls.clear()
         got = solve_arc_sweep(g)
-        assert got.subset.tolist() == ref.tolist(), (case, n, eps)
-        # with each window the nearest vertices in angular order the counts
-        # are cuts, so an arc of length n - k, the complement of one of
-        # length k, never wins and the sweep stops at n // 2; a thinned edge
-        # set mostly has gaps in its windows and is swept to n - 1
+        longest = cut_solvers._arc_counts(g)[3]
+        _, lccw, rcw = _arc_sweep_reference(g, longest=1)
+        # with each window the nearest vertices in angular order the
+        # recurrence's counts are cuts, and it gives the best arc; an edge
+        # list with gaps gets the brute-force best arc, and no certificate
         if _windows_are_contiguous(g, lccw, rcw):
+            ref = _arc_sweep_reference(g)[0]
             assert _arc_sweep_reference(g, longest=n // 2)[0].tolist() == ref.tolist()
             assert got.certificate == "FamilyOptimum", (case, n, eps)
         else:
+            ref = _best_arc(g)
             kinds["gaps"] += 1
             assert got.certificate == "Heuristic", (case, n, eps)
+        assert got.subset.tolist() == ref.tolist(), (case, n, eps)
         if not len(g.edges):
             kinds["no_edges"] += 1
-        elif lccw.max() > n - 1 - rcw.max():
-            kinds["empty_middle"] += 1
+        elif longest > n // 2:
+            kinds["all_short"] += 1
         else:
-            kinds["middle"] += 1
+            kinds["long"] += 1
+            kinds["short_scored"] += bool(calls)
     assert min(kinds.values()) >= 15, kinds
+
+
+def _arc_graph(kind, n, seed):
+    """A circle graph of one of the property tests' kinds."""
+    mf = get_manifold("circle")
+    rng = np.random.default_rng(seed)
+    cloud = grid_circle_cloud(n) if kind == "lattice" else mf.sample(n, seed=seed)
+    if kind == "random":  # any edge list: each pair with one probability
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(len(i)) < rng.uniform(0.05, 1.0)
+        return ProximityGraph(points=cloud.points, epsilon=0.1, m=1,
+                              edges=np.stack([i[keep], j[keep]], axis=1),
+                              cloud=cloud)
+    eps = {"edgeless": 1e-9,
+           "sparse": rng.uniform(0.5, 4.0) / n,
+           # up to complete graphs, whose steps pass n / 2
+           "dense": rng.uniform(1.0, 2.2) * mf.radius,
+           # a chord of k lattice steps: exactly tied ratios
+           "lattice": 2 * mf.radius * np.sin(np.pi * rng.integers(1, n // 2 + 1) / n) * 1.0001,
+           "thinned": rng.uniform(1.0, 6.0) * n ** -0.5}[kind]
+    g = build_graph(cloud, float(eps))
+    if kind == "thinned":
+        keep = rng.random(len(g.edges)) < rng.uniform(0.2, 0.9)
+        g = ProximityGraph(points=g.points, epsilon=g.epsilon, m=1,
+                           edges=g.edges[keep], cloud=cloud)
+    return g
+
+
+_ARC_KINDS = st.sampled_from(["edgeless", "sparse", "dense", "lattice",
+                              "thinned", "random"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARC_KINDS, st.integers(min_value=2, max_value=60), st.integers(0, 10_000))
+@example("dense", 60, 1)   # a complete graph: every length is short
+@example("random", 41, 5)  # steps past n / 2
+@example("lattice", 48, 2)
+@example("edgeless", 2, 0)
+def test_arc_sweep_is_the_best_arc_by_brute_force(kind, n, seed):
+    # every arc (start, length <= n / 2) scored by `objective`, the tie rule
+    # by the order of the loops: the least float, then the shortest, then the
+    # first start
+    g = _arc_graph(kind, n, seed)
+    order = np.argsort(g.cloud.manifold.to_intrinsic(g.points), kind="stable")
+    best = None
+    for length in range(1, n // 2 + 1):
+        for s in range(n):
+            val = objective(g, order[(s + np.arange(length)) % n])
+            if best is None or val < best[0]:
+                best = (val, order[(s + np.arange(length)) % n])
+    got = solve_arc_sweep(g)
+    assert got.subset.tolist() == canonical_subset(n, best[1]).tolist()
+    assert got.objective_value == best[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ARC_KINDS, st.integers(min_value=2, max_value=20), st.integers(0, 10_000))
+@example("lattice", 20, 4)
+@example("sparse", 16, 3)
+def test_arc_sweep_equals_exact_where_an_arc_is_optimal(kind, n, seed):
+    g = _arc_graph(kind, n, seed)
+    ex, arc = solve_exact(g), solve_arc_sweep(g)
+    order = np.argsort(g.cloud.manifold.to_intrinsic(g.points), kind="stable")
+    inside = np.isin(order, ex.subset)
+    # an arc's side changes at two boundaries of the angular order
+    if np.count_nonzero(inside != np.roll(inside, 1)) == 2:
+        assert arc.objective_value == ex.objective_value
+    else:
+        assert arc.objective_value >= ex.objective_value
 
 
 def test_arc_sweep_requires_circle():
@@ -663,18 +777,28 @@ def test_circle_pipeline_refines_only_an_uncertified_arc_cut(thinned, monkeypatc
     cloud = get_manifold("circle").sample(n, seed=3)
     g = build_graph(cloud, 2 * n ** -0.5)
     if thinned:
-        # half the edges dropped: gaps in the windows leave the arc cut a
-        # heuristic, which moves
+        # half the edges dropped: gaps in the windows leave the best arc a
+        # heuristic, which local search gets (and here cannot improve)
         keep = np.random.default_rng(3).random(len(g.edges)) < 0.5
         g = ProximityGraph(points=g.points, epsilon=g.epsilon, m=1,
                            edges=g.edges[keep], cloud=cloud)
-        want = refine_local_search(g, solve_arc_sweep(g))
-        assert want.solver == "local_search"
+        starts, refined = [], []
+
+        def spy(graph, start):
+            starts.append(start)
+            refined.append(refine_local_search(graph, start))
+            return refined[-1]
+
+        monkeypatch.setattr(cut_solvers, "refine_local_search", spy)
     else:
         want = solve_arc_sweep(g)
         assert want.certificate == "FamilyOptimum"
         monkeypatch.setattr(cut_solvers, "refine_local_search", _no_local_search)
     res = solve_pipeline(g)
+    if thinned:
+        assert [(s.solver, s.certificate) for s in starts] == [("arc_sweep", "Heuristic")]
+        assert np.array_equal(starts[0].subset, solve_arc_sweep(g).subset)
+        want = refined[0]
     assert res.extras["winner"] == want.solver
     assert np.array_equal(res.subset, want.subset)
     assert res.objective_value == want.objective_value

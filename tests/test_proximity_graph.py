@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheeger_lab import cli, nonlocal_tv, proximity_graph
-from cheeger_lab.cut_solvers import (_best_sweep_k, refine_local_search,
+from cheeger_lab.cut_solvers import (_arc_counts, _best_sweep_k,
+                                     refine_local_search,
                                      result_from_subset, solve_arc_sweep,
                                      solve_exact)
 from cheeger_lab.manifold import PointCloud, get_manifold
@@ -128,8 +129,28 @@ def test_circle_windows_give_the_tree_pairs(kind, n, eps, seed):
     if kind == "wrap":
         t = cloud.manifold.to_intrinsic(cloud.points[:2])
         assert t[0] == 0.0 and t[1] == 1.0
-    edges = build_graph(cloud, eps).edges
-    assert np.array_equal(edges, _edges_circle(cloud.points, eps, cloud.manifold))
+    g = build_graph(cloud, eps)
+    edges = g.edges
+    assert np.array_equal(edges, _edges_circle(cloud.points, eps, cloud.manifold)[0])
+    if kind in ("sampled", "lattice") and eps * math.pi < 0.99:
+        assert g.windows is not None
+    if g.windows is not None:
+        # the windows are the angular order and, per position, the edges
+        # forward from it; their pairs are exactly the edges
+        order, count = g.windows
+        t = cloud.manifold.to_intrinsic(cloud.points)
+        assert np.array_equal(order, np.argsort(t, kind="stable"))
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        i, j = edges[:, 0], edges[:, 1]
+        # forward from i: the gap from i to j in the sorted order, wrapping
+        # past its end, is under half a turn
+        fwd = t[j] - t[i] + (rank[j] < rank[i]) < 0.5
+        assert np.array_equal(count, np.bincount(rank[np.where(fwd, i, j)], minlength=n))
+        p = np.repeat(np.arange(n), count)
+        lag = np.arange(len(p)) - np.repeat(np.cumsum(count) - count, count) + 1
+        pairs = np.sort(np.stack([order[p], order[(p + lag) % n]], axis=1), axis=1)
+        assert np.array_equal(int64_key_sorted(pairs, n), int64_key_sorted(edges, n))
     assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
     assert edges.nbytes == 16 * len(edges)
     assert (edges[:, 0] < edges[:, 1]).all()
@@ -139,6 +160,56 @@ def test_circle_windows_give_the_tree_pairs(kind, n, eps, seed):
     assert np.array_equal(int64_key_sorted(edges, n), int64_key_sorted(tree, n))
     if eps * math.pi > 1.0 + 1e-9:  # every chord is shorter
         assert len(edges) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("n,eps,seed", [(2, 0.3, 1), (60, 1e-9, 2), (300, 2 * 300 ** -0.5, 3),
+                                        (500, 500 ** -0.25, 4), (40, 0.3, 5),
+                                        (64, 0.33, 6)])
+def test_arc_sweep_reads_the_same_cut_from_windows_edges_and_a_file(n, eps, seed, tmp_path):
+    # the build's windows, the same edges without them, and the graph saved
+    # and loaded: the same counts and the same cut (n = 64 at 0.33 is a
+    # complete graph, built without windows)
+    cloud = get_manifold("circle").sample(n, seed=seed)
+    built = build_graph(cloud, eps)
+    assert (built.windows is None) == (eps * math.pi > 1.0)
+    bare = ProximityGraph(points=built.points, epsilon=eps, m=1, edges=built.edges,
+                          cloud=cloud)
+    built.save(tmp_path / "g.csv")
+    loaded = ProximityGraph.load(tmp_path / "g.csv", cloud=cloud)
+    assert bare.windows is None and loaded.windows is None
+    want = _arc_counts(built)[:5]
+    want_cut = solve_arc_sweep(built)
+    for g in (bare, loaded):
+        got = _arc_counts(g)[:5]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        got_cut = solve_arc_sweep(g)
+        assert got_cut.subset.tolist() == want_cut.subset.tolist()
+        assert (got_cut.objective_value, got_cut.certificate) == (
+            want_cut.objective_value, want_cut.certificate)
+
+
+def test_a_coordinate_that_wraps_to_one_leaves_the_arc_cut_certified():
+    # a point at angle 0 and one whose intrinsic coordinate wraps to 1.0 sit
+    # at one angle, first and last in the sorted order: their edge runs one
+    # step forward across the end, as in the windows, so the windows stay
+    # contiguous on the edge path too
+    n = 200
+    cloud = _circle_cloud("wrap", n, 4)
+    g = build_graph(cloud, 2 * n ** -0.5)
+    bare = ProximityGraph(points=g.points, epsilon=g.epsilon, m=1, edges=g.edges,
+                          cloud=cloud)
+    assert _arc_counts(bare)[3] == _arc_counts(g)[3]
+    assert [solve_arc_sweep(h).certificate for h in (g, bare)] == ["FamilyOptimum"] * 2
+
+
+def test_only_a_circle_build_keeps_windows():
+    assert build_graph(get_manifold("circle").sample(50, seed=1), 0.1).windows is not None
+    for name in ("flat_torus_2", "sphere_2"):
+        assert build_graph(get_manifold(name).sample(50, seed=1), 0.3).windows is None
+    # a raw array of circle points gets the tree's pairs and no windows
+    points = get_manifold("circle").sample(50, seed=1).points
+    assert build_graph(points, 0.1, m=1).windows is None
 
 
 def test_gtv_matches_brute_force():
