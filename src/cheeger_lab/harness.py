@@ -52,7 +52,9 @@ UNDIGESTED = ("elapsed_sec", "stage_s", "traceback", "eigen_residual")
 # hash; raise it whenever a record field is added, removed or renamed
 RECORD_SCHEMA = 2
 
-# quadrature grid size of a trial's L1 cut error, per manifold
+# quadrature grid resolution of a trial's L1 cut error, per manifold: the
+# lattice's points per axis on the circle (800) and the torus (96 x 96), and
+# sphere_grid's n_target on the sphere, a grid of 7748 nodes
 TRIAL_GRID = {"circle": 800, "flat_torus_2": 96, "sphere_2": 4000}
 
 SVG_SIZE = (480, 360)  # width and height of the log-log plot, in pixels

@@ -5,8 +5,9 @@ kernel), excluding self loops: the pairs that a k-d tree's range search
 keeps, dx*dx + dy*dy + ... <= epsilon*epsilon. On a circle cloud they are
 found from the angular order, each vertex's forward window (``_edges_circle``),
 and the graph keeps the windows (``ProximityGraph.windows``) when they hold
-exactly its edges; elsewhere by the tree (``_edges_kdtree``). The graph total
-variation of a vertex function u is
+exactly its edges, and then counts its cuts from them in O(n); elsewhere by
+the tree (``_edges_kdtree``), and cuts are counted by a pass over the edges.
+The graph total variation of a vertex function u is
 
     GTV(u) = (1 / (n^2 eps^{m+1})) * sum_{i,j} w_ij |u_i - u_j|,
 
@@ -57,6 +58,18 @@ class ProximityGraph:
     # None on every other graph (``_edges_circle``)
     windows: tuple = field(default=None, repr=False)
     _adj: sp.csr_matrix = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # the cut counts read the windows instead of the edges (``_window_cut``),
+        # so windows left stale by a change of the edges or points are refused
+        if self.windows is not None:
+            order, count = self.windows
+            if not (len(order) == len(count) == self.n
+                    and int(count.sum()) == len(self.edges)):
+                raise ValueError(
+                    f"windows of {len(count)} positions and {int(count.sum())} "
+                    f"edges do not fit a graph of {self.n} vertices and "
+                    f"{len(self.edges)} edges; pass windows=None with new edges")
 
     @property
     def n(self):
@@ -365,13 +378,19 @@ def gtv(graph: ProximityGraph, u) -> float:
     chained block by block into one sum: an exact sum does not depend on the
     order of its terms, and dropping exact zeros does not change it, so the
     value is that of the sum over every edge (NaN and inf terms are nonzero
-    and propagate).
+    and propagate). On a graph that kept its windows, a u of only 0.0 and
+    1.0 (a set indicator) has one unit term per cut edge, and the exact sum
+    of k of them is float(k): the cut is counted from the windows in O(n).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError(f"vertex function must be 1-D, got shape {u.shape}")
     if u.shape[0] != graph.n:
         raise ValueError("vertex function length mismatch")
+    if graph.windows is not None:
+        ones = u == 1.0
+        if (ones | (u == 0.0)).all():
+            return 2.0 * graph.rescale * float(_window_cut(graph.windows, ones))
 
     def terms():
         for block in _edge_blocks(graph):
@@ -384,10 +403,28 @@ def gtv(graph: ProximityGraph, u) -> float:
 
 
 def cut_size(graph: ProximityGraph, subset) -> int:
-    """Raw Cut(E_n): number of edges with exactly one endpoint in subset."""
+    """Raw Cut(E_n): number of edges with exactly one endpoint in subset; in
+    O(n) from the windows of a graph that kept them, else by an edge pass."""
     mask = _as_mask(graph.n, subset)
+    if graph.windows is not None:
+        return _window_cut(graph.windows, mask)
     return sum(int(np.count_nonzero(mask[b[:, 0]] ^ mask[b[:, 1]]))
                for b in _edge_blocks(graph))
+
+
+def _window_cut(windows, mask):
+    """The cut edges of a vertex mask, counted from the windows (order,
+    count): position p's edges run to positions p + 1..p + count[p] (mod n),
+    of which ``ones`` are in the set, read off one prefix sum of the doubled
+    membership; they are cut when p is out of the set and the rest when it
+    is in."""
+    order, count = windows
+    w = mask[order].astype(np.int64)
+    s = np.zeros(2 * len(w) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([w, w]), out=s[1:])
+    p1 = np.arange(1, len(w) + 1)
+    ones = s[p1 + count] - s[p1]
+    return int((count * w + ones * (1 - 2 * w)).sum())
 
 
 def cheeger_ratio(cut, size, n, rescale):
@@ -418,12 +455,27 @@ def objective(graph: ProximityGraph, subset) -> float:
 
 
 def _as_mask(n, subset):
+    """A copy of a 1-D boolean mask of the n vertices, or the mask of a set
+    of vertex indices; an index that is not an integer in 0..n - 1 is
+    refused, not counted from the end, truncated or left to numpy's
+    IndexError."""
     subset = np.asarray(subset)
     if subset.dtype == bool:
-        if subset.shape[0] != n:
-            raise ValueError("mask length mismatch")
+        if subset.shape != (n,):
+            raise ValueError(f"mask length mismatch: shape {subset.shape} "
+                             f"for {n} vertices")
         return subset.copy()
     mask = np.zeros(n, dtype=bool)
     if subset.size:
-        mask[subset.astype(int)] = True
+        flat = subset.ravel()
+        if flat.dtype.kind not in "iuf":
+            raise ValueError(f"subset must be a boolean mask or vertex indices, "
+                             f"got entries of dtype {flat.dtype}")
+        with np.errstate(invalid="ignore"):  # NaN and inf do not cast
+            index = flat.astype(np.int64)
+        bad = np.flatnonzero((flat < 0) | (flat >= n) | (index != flat))
+        if len(bad):
+            raise ValueError(f"subset entry {flat[bad[0]].item()!r} at position "
+                             f"{int(bad[0])} is not a vertex index in 0..{n - 1}")
+        mask[index] = True
     return mask

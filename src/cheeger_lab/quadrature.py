@@ -47,7 +47,13 @@ def lattice_grid(manifold: Manifold, n: int) -> QuadratureGrid:
 
 
 def sphere_grid(manifold: Sphere2, n_target: int) -> QuadratureGrid:
-    """Equal-area staggered bands; roughly n_target nodes."""
+    """Equal-area staggered bands, round(sqrt(n_target * pi / 4)) of them.
+
+    ``n_target`` sets the band count, not the node count: a band at height z
+    holds about pi * n_bands * sqrt(1 - z^2) nodes, so the grid has about
+    pi^3 / 16 ~ 1.94 times n_target nodes (2500 -> 4778, 4000 -> 7748,
+    10 000 -> 19 550).
+    """
     n_bands = max(4, int(round(np.sqrt(n_target * np.pi / 4.0))))
     z_edges = np.linspace(-1.0, 1.0, n_bands + 1)
     zc = 0.5 * (z_edges[:-1] + z_edges[1:])
@@ -75,7 +81,8 @@ def build_grid(manifold, resolution) -> QuadratureGrid:
     """Build the natural grid for the manifold.
 
     ``resolution`` is the 1D subdivision count for circle/torus and the
-    target node count for the sphere.
+    ``n_target`` of ``sphere_grid`` for the sphere, whose grid has about
+    1.94 times that many nodes.
     """
     if isinstance(manifold, Sphere2):
         return sphere_grid(manifold, resolution)

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.spatial import cKDTree
 from cheeger_lab import cli, manifold
 from cheeger_lab.manifold import (Circle, CircleArc, FlatTorus2, PointCloud,
                                   Sphere2, SphereCap, TorusStrip,
-                                  _best_half_window, _wrap, _wrap_dist,
+                                  _best_half_window, _cap_gains,
+                                  _golden_poles, _wrap, _wrap_dist,
                                   get_manifold)
 from cheeger_lab.quadrature import build_grid
 
@@ -308,6 +310,43 @@ def test_torus_match_family_ties_go_to_the_lower_axis():
     flipped = ((v < 0.5) | ((v < 0.625) & (u < 0.125))).astype(float)
     axis, start = match(strip)
     assert axis == 0 and match(flipped) == (1, start)
+
+
+@pytest.mark.parametrize("resolution", [2500, 4000, 5000])
+def test_sphere_cap_scores_in_blocks_equal_the_one_product(resolution, monkeypatch):
+    # the trial grid (4000: 7748 nodes) and its neighbours; gains of the
+    # cap indicator, of noisy ones, and random
+    sphere = get_manifold("sphere_2")
+    g = build_grid(sphere, resolution)
+    u = sphere.to_intrinsic(g.nodes)
+    poles = _golden_poles(256)
+    rng = np.random.default_rng(resolution)
+    cap = (u @ np.array([0.3, -0.5, 0.8]) >= 0.0).astype(float)
+    fs = [cap, np.clip(cap + 0.3 * rng.standard_normal(len(u)), 0.0, 1.0),
+          rng.random(len(u)), rng.standard_normal(len(u))]
+    for f in fs:
+        gain = g.weights * (np.abs(f - 1.0) - np.abs(f))
+        one = gain @ (u @ poles.T >= 0.0)
+        assert one.tobytes() == _cap_gains(u, gain, poles).tobytes()
+        got = sphere.match_family(g.nodes, gain)
+        with monkeypatch.context() as m:
+            m.setattr(manifold, "_cap_gains", lambda u, gain, poles: gain @ (u @ poles.T >= 0.0))
+            assert got.tobytes() == sphere.match_family(g.nodes, gain).tobytes()
+
+
+def test_sphere_cap_match_keeps_its_temporaries_small():
+    # one product over all 256 poles peaked at 18 MB: a 7748 x 256 float array
+    sphere = get_manifold("sphere_2")
+    g = build_grid(sphere, 4000)
+    f = np.random.default_rng(3).random(len(g.nodes))
+    gain = g.weights * (np.abs(f - 1.0) - np.abs(f))
+    tracemalloc.start()
+    try:
+        sphere.match_family(g.nodes, gain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.nodes) == 7748 and peak < 4e6
 
 
 def _same_bits(a, b):

@@ -203,6 +203,74 @@ def test_a_coordinate_that_wraps_to_one_leaves_the_arc_cut_certified():
     assert [solve_arc_sweep(h).certificate for h in (g, bare)] == ["FamilyOptimum"] * 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sampled", "lattice", "duplicated", "wrap"]),
+       st.integers(min_value=2, max_value=400),
+       st.floats(min_value=-4.0, max_value=math.log10(0.3)).map(lambda u: 10.0 ** u),
+       st.integers(0, 10_000), st.sampled_from(["random", "empty", "full", "one", "arc"]))
+@example("lattice", 12, _CHORD_12, 0, "random")  # lattice chords that tie
+@example("lattice", 12, float(np.nextafter(_CHORD_12, 1.0)), 0, "arc")
+@example("lattice", 60, 0.1, 3, "one")
+@example("sampled", 2, 0.3, 6, "one")
+@example("sampled", 3, 0.3, 7, "random")
+@example("lattice", 3, 0.3, 1, "empty")
+@example("duplicated", 200, 0.01, 5, "full")
+def test_window_cut_counts_equal_the_edge_pass(kind, n, eps, seed, which):
+    """On a graph that kept its windows the cut counts, the scores and an
+    indicator's GTV read from the windows equal, bit for bit, those of the
+    edge pass on the same edges without them."""
+    g = build_graph(_circle_cloud(kind, n, seed), eps)
+    if g.windows is None:
+        return
+    bare = replace(g, windows=None)
+    rng = np.random.default_rng(seed)
+    mask = {"random": rng.random(n) < rng.random(),
+            "empty": np.zeros(n, dtype=bool), "full": np.ones(n, dtype=bool),
+            "one": np.arange(n) == rng.integers(n),
+            # an arc of the angular order, the arc sweep's candidates
+            "arc": np.isin(np.arange(n), g.windows[0][:rng.integers(1, n + 1)])}[which]
+    for subset in (mask, np.flatnonzero(mask)):
+        assert cut_size(g, subset) == cut_size(bare, subset)
+        assert cut_and_balance(g, subset) == cut_and_balance(bare, subset)
+        assert _bits(objective(g, subset)) == _bits(objective(bare, subset))
+    assert _bits(gtv(g, mask.astype(float))) == _bits(gtv(bare, mask.astype(float)))
+    if which == "empty":
+        assert cut_size(g, mask) == 0
+
+
+def test_window_counts_pass_over_no_edges():
+    # with the edge pass broken, a windowed graph still counts cuts and an
+    # indicator's GTV; every other vertex function takes the edge pass
+    g = build_graph(get_manifold("circle").sample(300, seed=2), 0.05)
+    mask = np.random.default_rng(2).random(g.n) < 0.4
+    want = (cut_size(g, mask), _bits(gtv(g, mask.astype(float))))
+
+    def broken(graph):
+        raise AssertionError("edge pass")
+
+    with mock.patch.object(proximity_graph, "_edge_blocks", broken):
+        assert (cut_size(g, mask), _bits(gtv(g, mask.astype(float)))) == want
+        objective(g, mask)
+        cut_and_balance(g, mask)
+        gtv(g, np.zeros(g.n))
+        for u in (mask * 2.0, mask - 0.5, np.where(mask, np.nan, 0.0)):
+            with pytest.raises(AssertionError, match="edge pass"):
+                gtv(g, u)
+        with pytest.raises(AssertionError, match="edge pass"):
+            cut_size(replace(g, windows=None), mask)
+
+
+def test_windows_that_do_not_hold_the_edges_are_refused():
+    # thinning a built graph's edges with replace leaves its windows stale
+    g = build_graph(get_manifold("circle").sample(200, seed=3), 0.05)
+    with pytest.raises(ValueError, match="windows"):
+        replace(g, edges=g.edges[::2])
+    with pytest.raises(ValueError, match="windows"):
+        replace(g, points=g.points[:-1])
+    thinned = replace(g, edges=g.edges[::2], windows=None)
+    assert len(thinned.edges) == (len(g.edges) + 1) // 2
+
+
 def test_only_a_circle_build_keeps_windows():
     assert build_graph(get_manifold("circle").sample(50, seed=1), 0.1).windows is not None
     for name in ("flat_torus_2", "sphere_2"):
@@ -329,6 +397,39 @@ def test_objective_variants_and_degenerate():
     full = np.arange(4)
     assert objective(g, full) == np.inf
     assert objective(g, []) == np.inf
+
+
+@pytest.mark.parametrize("subset,entry", [([-1], "-1"), ([3, -10], "-10"), ([2.7], "2.7"),
+                                          ([1, 10], "10"), (np.array([0, 2 ** 40]), str(2 ** 40)),
+                                          ([np.nan], "nan"), ([np.inf], "inf")])
+def test_a_subset_entry_that_is_not_a_vertex_index_is_refused(subset, entry):
+    # -1 named vertex 9 from the end, 2.7 was truncated to 2, and 10 raised
+    # a bare IndexError
+    g = build_graph(get_manifold("circle").sample(10, seed=1), 0.3)
+    for score in (objective, cut_size, cut_and_balance):
+        with pytest.raises(ValueError, match=f"subset entry {entry} at position"):
+            score(g, subset)
+    with pytest.raises(ValueError, match="subset entry"):
+        result_from_subset(g, subset, "random")
+
+
+def test_bool_masks_integer_indices_and_empty_subsets_are_taken():
+    g = build_graph(get_manifold("circle").sample(10, seed=1), 0.3)
+    mask = np.arange(10) < 4
+    want = objective(g, mask)
+    assert objective(g, [0, 1, 2, 3]) == objective(g, np.arange(4, dtype=np.uint8)) == want
+    # an integral float is the vertex it names
+    assert objective(g, [0.0, 1.0, 2.0, 3.0]) == want
+    for empty in ([], np.asarray([]), np.empty(0, dtype=np.int32)):
+        assert objective(g, empty) == np.inf and cut_size(g, empty) == 0
+    # a mask of another length or shape: a (n, 2) mask passed the length
+    # check and was scored as the edge pass read it
+    for bad in (mask[:-1], np.stack([mask, mask], axis=1), np.True_):
+        for h in (g, replace(g, windows=None)):
+            with pytest.raises(ValueError, match="mask length mismatch"):
+                objective(h, bad)
+    with pytest.raises(ValueError, match="boolean mask or vertex indices"):
+        objective(g, ["a"])
 
 
 def test_objective_of_complement_is_bit_equal():
